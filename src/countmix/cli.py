@@ -3,7 +3,7 @@
 Exit codes: 0 success, 2 input/usage error, 3 computation failure.
 All randomness flows from --seed; when the flag is absent a seed is
 drawn and recorded, so every report can be reproduced from its own
-invocation metadata.  COUNTMIX_THREADS caps fit parallelism.
+invocation metadata.
 """
 
 from __future__ import annotations
@@ -13,13 +13,13 @@ import json
 import os
 import secrets
 import sys
-import warnings
 
 from . import __version__
 from .data import (
     CovariateMask,
     Dataset,
     apply_mask,
+    dataset_csv_text,
     load_csv,
     standardize_covariates,
     summary_stats,
@@ -37,7 +37,6 @@ from .mixture import em_fit
 from .reports import (
     RunReport,
     components_csv,
-    dataset_csv_text,
     ga_csv,
     labels_csv_text,
     report_json,
@@ -71,15 +70,6 @@ _INPUT_ERRORS = (
 
 class _InputProblem(Exception):
     """Wraps any error that should map to exit code 2."""
-
-
-def _workers() -> int:
-    raw = os.environ.get("COUNTMIX_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        warnings.warn(f"ignoring invalid COUNTMIX_THREADS={raw!r}", RuntimeWarning)
-        return 1
 
 
 def _add_data_flags(sub):
@@ -240,7 +230,6 @@ def cmd_sweep(args, argv: list[str]) -> int:
         restarts=args.restarts,
         family=args.family,
         alpha_threshold=args.alpha_threshold,
-        workers=_workers(),
     )
     selected = result.best.get(criterion)
     if selected is None:
@@ -287,11 +276,8 @@ def _resolve_ga_family_and_g(d, args, seed):
     if args.resweep_g:
         return family, None
     if isinstance(args.g, str) and args.g.lower() == "auto":
-        full = sweep(
-            d, args.gmax, seed=seed, restarts=args.restarts, family=family,
-            workers=_workers(),
-        )
-        return family, full.best[normalize_criterion(args.criterion)]
+        full = sweep(d, args.gmax, seed=seed, restarts=args.restarts, family=family)
+        return family, full.best_G(normalize_criterion(args.criterion))
     try:
         g_val = int(args.g)
     except ValueError:
@@ -338,7 +324,7 @@ def cmd_ga(args, argv: list[str]) -> int:
     sub = apply_mask(d, winner)
     if G is None:
         win_sweep = sweep(sub, args.gmax, seed=seed, restarts=args.restarts, family=family)
-        model = win_sweep.models[win_sweep.best[criterion]]
+        model = win_sweep.models[win_sweep.best_G(criterion)]
     else:
         model = em_fit(sub, G, family, seed=seed, restarts=args.restarts)
     components = report_components(model, sub) if model.converged else []

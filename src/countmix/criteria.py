@@ -20,7 +20,7 @@ from . import countglm
 from .countglm import NB2, POISSON, validate_family
 from .data import Dataset
 from .errors import DomainError, InformationMatrixError, NumericOverflowError
-from .mixture import MixtureModel, log_density_matrix
+from .mixture import ComponentParams, MixtureModel, log_density_matrix
 from .numdiff import jacobian_central
 
 CRITERIA = ("aic", "sbc", "caic", "icomp")
@@ -127,14 +127,8 @@ def _mixture_grad(theta: np.ndarray, d: Dataset, family: str, G: int) -> np.ndar
     with responsibilities r evaluated at theta.
     """
     pis, betas, alphas = _unpack_params(theta, G, d.p, family)
-    cols = []
-    for g in range(G):
-        if family == POISSON:
-            cols.append(countglm.poisson_logpmf(betas[g], d))
-        else:
-            cols.append(countglm.nb2_logpmf(betas[g], alphas[g], d))
-    logf = np.column_stack(cols)
-    logw = logf + np.log(pis)
+    comps = [ComponentParams(pi=pis[g], beta=betas[g], alpha=alphas[g]) for g in range(G)]
+    logw = log_density_matrix(comps, d, family) + np.log(pis)
     norm = logsumexp(logw, axis=1)
     resp = np.exp(logw - norm[:, None])
 

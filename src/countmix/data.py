@@ -9,6 +9,7 @@ concurrent fitting tasks.
 from __future__ import annotations
 
 import csv
+import io
 import warnings
 from dataclasses import dataclass
 
@@ -224,13 +225,20 @@ def load_csv(path, outcome_col: str, covariate_cols) -> Dataset:
     )
 
 
+def dataset_csv_text(d: Dataset) -> str:
+    """CSV text for a Dataset; float cells use repr so values round-trip."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow([d.outcome_name, *d.names])
+    for i in range(d.n):
+        writer.writerow([int(d.y[i]), *[repr(float(v)) for v in d.X[i, 1:]]])
+    return buf.getvalue()
+
+
 def save_csv(d: Dataset, path) -> None:
-    """Write a Dataset back to CSV; float cells use repr so values round-trip."""
+    """Write a Dataset back to CSV (the text of :func:`dataset_csv_text`)."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([d.outcome_name, *d.names])
-        for i in range(d.n):
-            writer.writerow([int(d.y[i]), *[repr(float(v)) for v in d.X[i, 1:]]])
+        fh.write(dataset_csv_text(d))
 
 
 def apply_mask(d: Dataset, m: CovariateMask) -> Dataset:

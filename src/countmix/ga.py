@@ -96,10 +96,11 @@ def _score_mask(mask, d, G, family, cache, seed, restarts, criterion, g_max):
     try:
         if G is None:
             res = sweep(sub, g_max, seed=seed, restarts=restarts, family=family)
-            row = next(r for r in res.rows if r.G == res.best[criterion])
+            row = next(r for r in res.rows if r.G == res.best_G(criterion))
         else:
             model = em_fit(sub, G, family, seed=seed, restarts=restarts)
-            row = score_model(model, sub)
+            # a collapsed fit has fewer components and is not a score at G
+            row = score_model(model, sub) if model.G == G else None
     except CountmixError:
         row = None
     cache[key] = row
@@ -160,7 +161,7 @@ def evolve(d: Dataset, cfg: GaConfig, family: str | None = None) -> list[SubsetR
         G = cfg.G
     else:
         full = sweep(d, cfg.g_max, seed=cfg.seed, restarts=cfg.restarts, family=family)
-        G = full.best[criterion]
+        G = full.best_G(criterion)
 
     p = d.p
     mut = cfg.mutation_rate if cfg.mutation_rate is not None else 1.0 / p

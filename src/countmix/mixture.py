@@ -98,11 +98,36 @@ def log_density_matrix(components, d: Dataset, family: str) -> np.ndarray:
     return np.column_stack(cols)
 
 
+def _posterior(logf: np.ndarray, pis: np.ndarray, warn: bool = True):
+    """Row normalizers log sum_g pi_g f_ig and responsibilities r_ig.
+
+    One log-sum-exp gives both the observed-data log-likelihood (the sum
+    of the normalizers) and the posterior.  Rows whose density underflows
+    in every component get uniform responsibilities and, with ``warn``,
+    a RuntimeWarning.
+    """
+    logw = logf + np.log(pis)
+    norm = logsumexp(logw, axis=1)
+    degenerate = ~np.isfinite(norm)
+    with np.errstate(invalid="ignore"):
+        resp = np.exp(logw - norm[:, None])
+    if degenerate.any():
+        if warn:
+            warnings.warn(
+                f"{int(degenerate.sum())} row(s) had zero density under every "
+                "component; assigning uniform responsibilities",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+        resp[degenerate] = 1.0 / logf.shape[1]
+    return norm, resp
+
+
 def mixture_loglik(components, d: Dataset, family: str) -> float:
     """Observed-data log-likelihood sum_i log sum_g pi_g f_g(y_i | x_i)."""
     pis = _check_components(components, d)
-    logf = log_density_matrix(components, d, family)
-    return float(logsumexp(logf + np.log(pis), axis=1).sum())
+    norm, _ = _posterior(log_density_matrix(components, d, family), pis, warn=False)
+    return float(norm.sum())
 
 
 def e_step(components, d: Dataset, family: str) -> np.ndarray:
@@ -112,20 +137,7 @@ def e_step(components, d: Dataset, family: str) -> np.ndarray:
     responsibilities and a RuntimeWarning.
     """
     pis = _check_components(components, d)
-    logw = log_density_matrix(components, d, family) + np.log(pis)
-    norm = logsumexp(logw, axis=1)
-    degenerate = ~np.isfinite(norm)
-    with np.errstate(invalid="ignore"):
-        resp = np.exp(logw - norm[:, None])
-    if degenerate.any():
-        warnings.warn(
-            f"{int(degenerate.sum())} row(s) had zero density under every "
-            "component; assigning uniform responsibilities",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        resp[degenerate] = 1.0 / len(components)
-    return resp
+    return _posterior(log_density_matrix(components, d, family), pis)[1]
 
 
 def m_step(resp: np.ndarray, d: Dataset, family: str, prev=None):
@@ -210,13 +222,7 @@ def init_by_count_mixture(d: Dataset, G: int, seed=0) -> np.ndarray:
     resp = None
     for _ in range(INIT_EM_ITER):
         logf = y[:, None] * np.log(lam)[None, :] - lam[None, :] - lgy[:, None]
-        logw = logf + np.log(pis)
-        norm = logsumexp(logw, axis=1)
-        degenerate = ~np.isfinite(norm)
-        with np.errstate(invalid="ignore"):
-            resp = np.exp(logw - norm[:, None])
-        if degenerate.any():
-            resp[degenerate] = 1.0 / G
+        _, resp = _posterior(logf, pis, warn=False)
         pis = np.clip(resp.mean(axis=0), 1e-12, None)
         pis = pis / pis.sum()
         mass = resp.sum(axis=0)
@@ -237,36 +243,37 @@ def init_by_count_mixture(d: Dataset, G: int, seed=0) -> np.ndarray:
 
 
 def _run_em(d, family, resp0, tol, max_iter):
-    """One EM run from hard/soft initial responsibilities."""
+    """One EM run from hard/soft initial responsibilities.
+
+    Each iteration builds the log-density matrix once; the same posterior
+    pass yields the log-likelihood of the new parameters and the
+    responsibilities for the next M-step (or the returned model).
+    """
     comps = None
     resp = resp0
     trace = []
-    prev_ll = None
     converged = False
-    iterations = 0
     n = d.n
     for _ in range(max_iter):
         comps = m_step(resp, d, family, prev=comps)
-        iterations += 1
         if min(c.pi for c in comps) < 1.0 / (2.0 * n):
             raise ComponentCollapseError(
                 f"a mixture weight fell below 1/(2n) = {1.0 / (2.0 * n):.2e}"
             )
-        ll = mixture_loglik(comps, d, family)
+        pis = _check_components(comps, d)
+        norm, resp = _posterior(log_density_matrix(comps, d, family), pis)
+        ll = float(norm.sum())
+        converged = bool(trace) and abs(ll - trace[-1]) <= tol * (1.0 + abs(ll))
         trace.append(ll)
-        if prev_ll is not None and abs(ll - prev_ll) <= tol * (1.0 + abs(ll)):
-            converged = True
+        if converged:
             break
-        prev_ll = ll
-        resp = e_step(comps, d, family)
-    final_resp = e_step(comps, d, family)
     return MixtureModel(
         family=family,
         components=comps,
         logL=trace[-1],
-        responsibilities=final_resp,
+        responsibilities=resp,
         converged=converged,
-        iterations=iterations,
+        iterations=len(trace),
         loglik_trace=np.asarray(trace),
     )
 
@@ -289,13 +296,16 @@ def em_fit(
     weighted design) are discarded.  The best surviving restart by final
     log-likelihood wins, ties broken toward the lowest restart index.  If
     every restart collapses the fit is retried at G-1 and the result is
-    tagged with a collapse diagnostic.
+    tagged with a collapse diagnostic.  At G=1 the redraw of the single
+    all-ones column reproduces the first start, so one run is made.
     """
     validate_family(family)
     if G < 1:
         raise DomainError(f"G must be >= 1, got {G}")
     if restarts < 1:
         raise DomainError("restarts must be >= 1")
+    if max_iter < 1:
+        raise DomainError("max_iter must be >= 1")
     if d.n < G * (d.p + 2):
         raise DimensionError(
             f"n={d.n} is too small for G={G} components with p={d.p}"
@@ -306,7 +316,7 @@ def em_fit(
 
     best = None
     notes: list[str] = []
-    for k in range(restarts):
+    for k in range(restarts if G > 1 else 1):
         if k == 0:
             resp0 = base
         else:

@@ -45,14 +45,6 @@ def write_text_atomic(path, text: str) -> None:
         raise
 
 
-def dataset_csv_text(d) -> str:
-    """CSV text for a Dataset; float cells use repr so values round-trip."""
-    lines = [",".join([d.outcome_name, *d.names])]
-    for i in range(d.n):
-        lines.append(",".join([str(int(d.y[i])), *[repr(float(v)) for v in d.X[i, 1:]]]))
-    return "\n".join(lines) + "\n"
-
-
 def labels_csv_text(labels) -> str:
     lines = ["label"]
     lines.extend(str(int(v)) for v in labels)

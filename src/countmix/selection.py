@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,6 +39,12 @@ class SweepResult:
     best: dict[str, int]
     models: dict[int, MixtureModel]
     warnings: tuple[str, ...] = field(default=())
+
+    def best_G(self, criterion: str) -> int:
+        """G chosen by ``criterion``; :class:`NoScoreError` if no row scored it."""
+        if criterion not in self.best:
+            raise NoScoreError(f"criterion {criterion!r} unavailable in every row")
+        return self.best[criterion]
 
 
 def choose_family(d: Dataset, threshold: float = DEFAULT_ALPHA_THRESHOLD) -> str:
@@ -95,7 +100,6 @@ def sweep(
     restarts: int = 5,
     family: str = "auto",
     alpha_threshold: float = DEFAULT_ALPHA_THRESHOLD,
-    workers: int = 1,
 ) -> SweepResult:
     """Fit G = 1..G_max mixtures and score each with all four criteria.
 
@@ -112,40 +116,26 @@ def sweep(
     countglm.validate_family(family_used)
 
     notes: list[str] = []
-
-    def fit_one(G: int):
-        try:
-            model = em_fit(d, G, family_used, seed=seed, restarts=restarts)
-        except CountmixError as exc:
-            return ScoreRow(
-                G=G, logL=np.nan, n_k=0, aic=np.nan, sbc=np.nan, caic=np.nan,
-                icomp=None, ifim_condition=None, error=str(exc),
-            ), None
-        if model.G != G:
-            msg = "; ".join(model.warnings) or "collapsed to fewer components"
-            return ScoreRow(
-                G=G, logL=np.nan, n_k=0, aic=np.nan, sbc=np.nan, caic=np.nan,
-                icomp=None, ifim_condition=None, error=msg,
-            ), None
-        return score_model(model, d), model
-
-    gs = list(range(1, G_max + 1))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(fit_one, gs))
-    else:
-        results = [fit_one(G) for G in gs]
-
     rows = []
     models: dict[int, MixtureModel] = {}
-    for G, (row, model) in zip(gs, results):
-        rows.append(row)
-        if model is not None:
-            models[G] = model
-            if model.warnings:
-                notes.extend(f"G={G}: {w}" for w in model.warnings)
-        else:
-            notes.append(f"G={G} failed: {row.error}")
+    for G in range(1, G_max + 1):
+        try:
+            model = em_fit(d, G, family_used, seed=seed, restarts=restarts)
+            error = None
+            if model.G != G:
+                error = "; ".join(model.warnings) or "collapsed to fewer components"
+        except CountmixError as exc:
+            error = str(exc)
+        if error is not None:
+            rows.append(ScoreRow(
+                G=G, logL=np.nan, n_k=0, aic=np.nan, sbc=np.nan, caic=np.nan,
+                icomp=None, ifim_condition=None, error=error,
+            ))
+            notes.append(f"G={G} failed: {error}")
+            continue
+        rows.append(score_model(model, d))
+        models[G] = model
+        notes.extend(f"G={G}: {w}" for w in model.warnings)
     if not models:
         raise SweepError(
             "every component count failed",

@@ -253,6 +253,35 @@ class TestGa:
         assert report["ga_records"][0]["subset"] == "1"
 
 
+    def test_icomp_unavailable_everywhere_exits_3(self, tmp_path, capsys):
+        # a near-duplicate covariate leaves the observed information of the
+        # full model ill-conditioned, so ICOMP is unavailable at every G
+        rng = np.random.default_rng(0)
+        n = 80
+        x1 = rng.normal(size=n)
+        x2 = x1 + 1e-7 * rng.normal(size=n)
+        y = rng.poisson(np.exp(1.0 + 0.3 * x1))
+        path = tmp_path / "dup.csv"
+        lines = ["y,x1,x2"] + [
+            f"{int(y[i])},{float(x1[i])!r},{float(x2[i])!r}" for i in range(n)
+        ]
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "ga_icomp"
+        code = run(
+            [
+                "ga", "--data", str(path), "--outcome", "y",
+                "--covariates", "x1,x2", "--seed", "1", "--gmax", "1",
+                "--family", "poisson", "--runs", "2", "--criterion", "icomp",
+                "--out", str(out),
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "icomp" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
 class TestSummary:
     def test_prints_and_writes(self, sim_dir, tmp_path, capsys):
         out = tmp_path / "summ"
@@ -299,15 +328,3 @@ class TestStandardize:
         assert plain_rows["y"] == scaled_rows["y"]
         assert abs(float(scaled_rows["x"]["mean"])) < 1e-10
         assert abs(float(scaled_rows["x"]["sd"]) - 1.0) < 1e-10
-
-
-class TestThreadCap:
-    def test_env_var_does_not_change_results(self, sim_dir, tmp_path, monkeypatch):
-        out1 = tmp_path / "t1"
-        assert run(_sweep_args(sim_dir, out1)) == 0
-        monkeypatch.setenv("COUNTMIX_THREADS", "3")
-        out2 = tmp_path / "t2"
-        assert run(_sweep_args(sim_dir, out2)) == 0
-        a = json.loads((out1 / "report.json").read_text())
-        b = json.loads((out2 / "report.json").read_text())
-        assert a["score_table"] == b["score_table"]

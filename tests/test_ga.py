@@ -109,6 +109,20 @@ class TestFitness:
         assert val == np.inf
 
 
+    def test_collapsed_fit_scores_infinity(self, monkeypatch):
+        d = _regression_dataset(seed=12)
+        real = ga_mod.em_fit
+
+        def collapsing(data, G, family, **kwargs):
+            return real(data, G - 1, family, **kwargs)
+
+        monkeypatch.setattr(ga_mod, "em_fit", collapsing)
+        mask = CovariateMask.all_ones(d.p)
+        cache = {}
+        assert fitness(mask, d, 2, POISSON, "caic", cache, seed=0, restarts=1) == np.inf
+        assert cache[mask.key] is None
+
+
 class TestEvolve:
     def test_exhaustive_optimum_p2(self):
         d = _regression_dataset(p=2, important=(0,), seed=13)

@@ -318,3 +318,39 @@ class TestEmFit:
         m = em_fit(d, 2, POISSON, seed=0, restarts=2)
         assert m.G == 1
         assert any("collapsed" in w for w in m.warnings)
+
+    def test_one_log_density_build_per_iteration(self, monkeypatch):
+        d, _ = gen_regression_mixture(_two_component_spec(), 200, seed=21)
+        real = mixture_mod.log_density_matrix
+        calls = {"n": 0}
+
+        def counting(*args, **kwargs):
+            calls["n"] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(mixture_mod, "log_density_matrix", counting)
+        m = em_fit(d, 2, POISSON, seed=3, restarts=1)
+        assert m.G == 2
+        assert calls["n"] == m.iterations
+
+    def test_single_component_runs_one_restart(self, poisson_data, monkeypatch):
+        d = poisson_data(n=80, seed=22)
+        one = em_fit(d, 1, POISSON, seed=4, restarts=1)
+        real = mixture_mod.m_step
+        calls = {"n": 0}
+
+        def counting(*args, **kwargs):
+            calls["n"] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(mixture_mod, "m_step", counting)
+        five = em_fit(d, 1, POISSON, seed=4, restarts=5)
+        assert calls["n"] == five.iterations
+        for field in ("family", "logL", "converged", "iterations", "warnings"):
+            assert getattr(five, field) == getattr(one, field)
+        np.testing.assert_array_equal(five.loglik_trace, one.loglik_trace)
+        np.testing.assert_array_equal(five.responsibilities, one.responsibilities)
+        assert len(five.components) == len(one.components) == 1
+        for cf, co in zip(five.components, one.components):
+            assert (cf.pi, cf.alpha) == (co.pi, co.alpha)
+            np.testing.assert_array_equal(cf.beta, co.beta)

@@ -151,12 +151,6 @@ class TestSweep:
         assert a.rows == b.rows
         assert a.best == b.best
 
-    def test_workers_do_not_change_results(self):
-        d, _ = gen_regression_mixture(_sep_spec(), 250, seed=44)
-        a = sweep(d, 3, seed=3, restarts=1, family=POISSON)
-        b = sweep(d, 3, seed=3, restarts=1, family=POISSON, workers=3)
-        assert a.rows == b.rows
-
     def test_failed_g_marked_not_fatal(self, monkeypatch):
         d, _ = gen_regression_mixture(_sep_spec(), 250, seed=45)
         real = selection_mod.em_fit
