@@ -14,13 +14,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import countglm
 from .countglm import NB2, POISSON, validate_family
 from .data import Dataset
 from .errors import DomainError, InformationMatrixError, NumericOverflowError
-from .mixture import ComponentParams, MixtureModel, log_density_matrix
+from .mixture import ComponentParams, MixtureModel, _logsumexp_rows, log_density_matrix
 from .numdiff import jacobian_central
 
 CRITERIA = ("aic", "sbc", "caic", "icomp")
@@ -129,7 +128,7 @@ def _mixture_grad(theta: np.ndarray, d: Dataset, family: str, G: int) -> np.ndar
     pis, betas, alphas = _unpack_params(theta, G, d.p, family)
     comps = [ComponentParams(pi=pis[g], beta=betas[g], alpha=alphas[g]) for g in range(G)]
     logw = log_density_matrix(comps, d, family) + np.log(pis)
-    norm = logsumexp(logw, axis=1)
+    norm = _logsumexp_rows(logw)
     resp = np.exp(logw - norm[:, None])
 
     pieces = []
@@ -226,16 +225,18 @@ def ifim_condition(info: np.ndarray) -> float | None:
     return float(eig.max() / eig.min())
 
 
-def score_model(model: MixtureModel, d: Dataset) -> ScoreRow:
+def score_model(model: MixtureModel, d: Dataset, with_icomp: bool = True) -> ScoreRow:
     """Assemble all four criteria for a fitted mixture.
 
     ICOMP instability (or a failed information matrix) marks ``icomp``
-    unavailable without blocking AIC/SBC/CAIC.
+    unavailable without blocking AIC/SBC/CAIC.  ``with_icomp=False`` skips
+    the observed information, leaving ``icomp`` and ``ifim_condition``
+    None, for callers that rank by AIC, SBC or CAIC alone.
     """
     n_k = count_params(model.G, d.p, model.family)
     row_icomp: float | None = None
     cond: float | None = None
-    if model.converged:
+    if with_icomp and model.converged:
         try:
             info = observed_info(model, d)
             cond = ifim_condition(info)

@@ -88,10 +88,17 @@ class SubsetRecord:
 
 
 def _score_mask(mask, d, G, family, cache, seed, restarts, criterion, g_max):
-    """ScoreRow for a mask (memoized); None records a failed fit."""
+    """ScoreRow for a mask (memoized); None records a failed fit.
+
+    A fixed-G row carries ICOMP only when ICOMP is the criterion, since
+    its observed information costs about as much as the fit; a cached
+    row without ICOMP is scored again when an ICOMP lookup reaches it.
+    """
     key = mask.key
     if key in cache:
-        return cache[key]
+        row = cache[key]
+        if criterion != "icomp" or row is None or row.icomp is not None:
+            return row
     sub = apply_mask(d, mask)
     try:
         if G is None:
@@ -100,7 +107,10 @@ def _score_mask(mask, d, G, family, cache, seed, restarts, criterion, g_max):
         else:
             model = em_fit(sub, G, family, seed=seed, restarts=restarts)
             # a collapsed fit has fewer components and is not a score at G
-            row = score_model(model, sub) if model.G == G else None
+            if model.G == G:
+                row = score_model(model, sub, with_icomp=criterion == "icomp")
+            else:
+                row = None
     except CountmixError:
         row = None
     cache[key] = row
@@ -133,19 +143,17 @@ def fitness(
     return float(value)
 
 
-def _tournament(rng, fits):
-    i = int(rng.integers(len(fits)))
-    j = int(rng.integers(len(fits)))
-    return i if fits[i] <= fits[j] else j
-
-
 def evolve(d: Dataset, cfg: GaConfig, family: str | None = None) -> list[SubsetRecord]:
     """Run ``cfg.runs`` independent GA searches and tabulate winner frequencies.
 
     Every run draws a fresh Bernoulli(0.5) population, then iterates
-    tournament selection (k=2), uniform crossover, per-bit mutation, and
-    elitism; the run winner is the best-ever mask seen.  Records are
-    sorted by relative frequency (descending) then criterion value.
+    tournament selection (k=2, ties to the first draw), uniform crossover,
+    per-bit mutation, and elitism; the run winner is the best-ever mask
+    seen.  Each generation draws its random numbers as blocks, in this
+    order: all tournament index pairs, the crossover coins, the crossover
+    swap masks, the mutation flips.  :func:`fitness` is called once per
+    distinct mask over all runs.  Records are sorted by relative frequency
+    (descending) then criterion value.
     """
     if d.p < 1:
         raise DomainError("GA subset selection needs at least one covariate")
@@ -165,47 +173,51 @@ def evolve(d: Dataset, cfg: GaConfig, family: str | None = None) -> list[SubsetR
 
     p = d.p
     mut = cfg.mutation_rate if cfg.mutation_rate is not None else 1.0 / p
+    n_children = cfg.pop_size - cfg.elitism
+    pairs = (n_children + 1) // 2
     cache: dict[bytes, ScoreRow | None] = {}
+    # fitness by mask key; a population's keys come from one view of its
+    # rows as p-byte records, and equal CovariateMask.key
+    values: dict[bytes, float] = {}
+    row_record = np.dtype((np.void, p))
 
-    def fit_of(bits: np.ndarray) -> float:
-        return fitness(
-            CovariateMask(bits), d, G, family, criterion, cache,
-            seed=cfg.seed, restarts=cfg.restarts, g_max=cfg.g_max,
-        )
+    def fits_of(pop: np.ndarray) -> tuple[list[bytes], np.ndarray]:
+        keys = pop.view(row_record).ravel().tolist()
+        for key in dict.fromkeys(keys):
+            if key not in values:
+                values[key] = fitness(
+                    CovariateMask(np.frombuffer(key, dtype=bool)), d, G, family,
+                    criterion, cache, seed=cfg.seed, restarts=cfg.restarts,
+                    g_max=cfg.g_max,
+                )
+        return keys, np.array([values[k] for k in keys])
 
     win_counts: dict[bytes, int] = {}
     for run in range(cfg.runs):
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, run)))
         pop = rng.random((cfg.pop_size, p)) < 0.5
-        fits = [fit_of(row) for row in pop]
-        best_bits = pop[int(np.argmin(fits))].copy()
-        best_fit = min(fits)
+        keys, fits = fits_of(pop)
+        best = int(np.argmin(fits))
+        best_key, best_fit = keys[best], fits[best]
         for _ in range(cfg.generations):
-            order = np.argsort(fits, kind="stable")
-            nxt = [pop[i].copy() for i in order[: cfg.elitism]]
-            while len(nxt) < cfg.pop_size:
-                pa = pop[_tournament(rng, fits)]
-                pb = pop[_tournament(rng, fits)]
-                if rng.random() < cfg.crossover_rate:
-                    swap = rng.random(p) < 0.5
-                    c1 = np.where(swap, pb, pa)
-                    c2 = np.where(swap, pa, pb)
-                else:
-                    c1, c2 = pa.copy(), pb.copy()
-                for child in (c1, c2):
-                    if len(nxt) >= cfg.pop_size:
-                        break
-                    flip = rng.random(p) < mut
-                    child = np.logical_xor(child, flip)
-                    nxt.append(child)
-            pop = np.asarray(nxt)
-            fits = [fit_of(row) for row in pop]
+            elite = pop[np.argsort(fits, kind="stable")[: cfg.elitism]]
+            draws = rng.integers(cfg.pop_size, size=(2, pairs, 2))
+            first, second = draws[..., 0], draws[..., 1]
+            winners = np.where(fits[first] <= fits[second], first, second)
+            pa, pb = pop[winners[0]], pop[winners[1]]
+            cross = rng.random(pairs) < cfg.crossover_rate
+            swap = (rng.random((pairs, p)) < 0.5) & cross[:, None]
+            # children alternate c1, c2 pair by pair; an odd count drops the last c2
+            children = np.stack(
+                [np.where(swap, pb, pa), np.where(swap, pa, pb)], axis=1
+            ).reshape(2 * pairs, p)[:n_children]
+            children ^= rng.random((n_children, p)) < mut
+            pop = np.concatenate([elite, children])
+            keys, fits = fits_of(pop)
             gen_best = int(np.argmin(fits))
             if fits[gen_best] < best_fit:
-                best_fit = fits[gen_best]
-                best_bits = pop[gen_best].copy()
-        key = best_bits.tobytes()
-        win_counts[key] = win_counts.get(key, 0) + 1
+                best_key, best_fit = keys[gen_best], fits[gen_best]
+        win_counts[best_key] = win_counts.get(best_key, 0) + 1
 
     records = []
     for key, count in win_counts.items():

@@ -11,7 +11,7 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 from . import countglm
 from .countglm import NB2, POISSON, validate_family
@@ -98,6 +98,28 @@ def log_density_matrix(components, d: Dataset, family: str) -> np.ndarray:
     return np.column_stack(cols)
 
 
+def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
+    """Row-wise log sum_j exp(a_ij) for a 2-D float array.
+
+    Follows scipy.special.logsumexp (scipy >= 1.15) step for step, so the
+    values match it, at a fraction of its per-call overhead: the row
+    maximum's m ties are taken out of the shifted sum s, the result is
+    log1p(s / m) + log(m) + max, and rows where that is not finite (all
+    -inf, or a +inf entry) fall back to log(sum(exp(a))).
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        amax = a.max(axis=1, keepdims=True)
+        at_max = a == amax
+        m = at_max.sum(axis=1, keepdims=True, dtype=a.dtype)
+        s = np.exp(np.where(at_max, -np.inf, a) - amax).sum(axis=1, keepdims=True)
+        s = np.where(s == 0, s, s / m)
+        out = (np.log1p(s) + np.log(m) + amax)[:, 0]
+        bad = ~np.isfinite(out)
+        if bad.any():
+            out[bad] = np.log(np.exp(a[bad]).sum(axis=1))
+    return out
+
+
 def _posterior(logf: np.ndarray, pis: np.ndarray, warn: bool = True):
     """Row normalizers log sum_g pi_g f_ig and responsibilities r_ig.
 
@@ -107,7 +129,7 @@ def _posterior(logf: np.ndarray, pis: np.ndarray, warn: bool = True):
     a RuntimeWarning.
     """
     logw = logf + np.log(pis)
-    norm = logsumexp(logw, axis=1)
+    norm = _logsumexp_rows(logw)
     degenerate = ~np.isfinite(norm)
     with np.errstate(invalid="ignore"):
         resp = np.exp(logw - norm[:, None])

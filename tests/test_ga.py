@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -123,6 +124,30 @@ class TestFitness:
         assert cache[mask.key] is None
 
 
+    def test_icomp_lookup_rescores_row_cached_without_icomp(self):
+        d = _regression_dataset(seed=11)
+        mask = CovariateMask.from_numbers(d.p, (1,))
+        cache = {}
+        fitness(mask, d, 1, POISSON, "caic", cache, seed=0, restarts=1)
+        assert cache[mask.key].icomp is None
+        val = fitness(mask, d, 1, POISSON, "icomp", cache, seed=0, restarts=1)
+        assert val == fitness(mask, d, 1, POISSON, "icomp", {}, seed=0, restarts=1)
+        assert np.isfinite(val)
+
+
+def _counting(monkeypatch, module, name):
+    """Replace module.name by a wrapper that records each call's arguments."""
+    real = getattr(module, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
 class TestEvolve:
     def test_exhaustive_optimum_p2(self):
         d = _regression_dataset(p=2, important=(0,), seed=13)
@@ -184,6 +209,66 @@ class TestEvolve:
         assert [(r.mask.key, r.wins, r.aic) for r in a] == [
             (r.mask.key, r.wins, r.aic) for r in b
         ]
+
+    def test_fitness_called_once_per_distinct_mask(self, monkeypatch):
+        d = _regression_dataset(p=4, important=(0,), seed=17)
+        calls = _counting(monkeypatch, ga_mod, "fitness")
+        cfg = GaConfig(
+            pop_size=6, generations=4, runs=8, seed=13, G=1, restarts=1,
+            criterion="caic", elitism=1,
+        )
+        evolve(d, cfg, family=POISSON)
+        keys = [args[0].key for args in calls]
+        assert len(keys) == len(set(keys))
+        assert len(keys) < cfg.runs * (cfg.generations + 1) * cfg.pop_size
+
+    def test_caic_ga_skips_observed_info_and_icomp_ga_uses_it(self, monkeypatch):
+        from countmix import apply_mask, score_model
+        from countmix import criteria as criteria_mod
+
+        d = _regression_dataset(p=3, important=(0,), seed=17)
+        info_calls = _counting(monkeypatch, criteria_mod, "observed_info")
+        cfg = GaConfig(
+            pop_size=6, generations=3, runs=3, seed=13, G=1, restarts=1,
+            criterion="caic", elitism=1,
+        )
+        evolve(d, cfg, family=POISSON)
+        assert info_calls == []
+
+        real_fitness = ga_mod.fitness
+        values = {}
+
+        def recording(mask, *args, **kwargs):
+            values[mask.key] = (mask, real_fitness(mask, *args, **kwargs))
+            return values[mask.key][1]
+
+        monkeypatch.setattr(ga_mod, "fitness", recording)
+        evolve(d, dataclasses.replace(cfg, criterion="icomp"), family=POISSON)
+        assert len(info_calls) == len(values) > 0
+        for mask, value in values.values():
+            sub = apply_mask(d, mask)
+            icomp = score_model(em_fit(sub, 1, POISSON, seed=13, restarts=1), sub).icomp
+            assert value == (np.inf if icomp is None else icomp)
+
+    def test_full_mutation_without_crossover_complements_parents(self, monkeypatch):
+        # each child is a tournament winner with every bit flipped, so every
+        # mask a run visits is an initial member or the complement of one
+        d = _regression_dataset(p=6, important=(0,), seed=16)
+        calls = _counting(monkeypatch, ga_mod, "fitness")
+        cfg = GaConfig(
+            pop_size=6, generations=3, runs=3, seed=11, G=1, restarts=1,
+            criterion="caic", elitism=2, crossover_rate=0.0, mutation_rate=1.0,
+        )
+        evolve(d, cfg, family=POISSON)
+        initial, complements = set(), set()
+        for run in range(cfg.runs):
+            rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, run)))
+            pop = rng.random((cfg.pop_size, d.p)) < 0.5
+            initial.update(row.tobytes() for row in pop)
+            complements.update((~row).tobytes() for row in pop)
+        seen = {args[0].key for args in calls}
+        assert seen <= initial | complements
+        assert seen - initial
 
     def test_ga_beats_random_search_on_equal_budget(self):
         d = _regression_dataset(p=8, important=(0, 3), n=200, seed=18)

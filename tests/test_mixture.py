@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -131,6 +133,38 @@ class TestEStep:
         with pytest.warns(RuntimeWarning):
             resp = e_step(comps, d, POISSON)
         np.testing.assert_allclose(resp, 0.5, atol=1e-15)
+
+
+class TestLogsumexpRows:
+    def _matrices(self):
+        rng = np.random.default_rng(31)
+        for _ in range(300):
+            n, G = int(rng.integers(1, 40)), int(rng.integers(1, 6))
+            a = rng.normal(scale=rng.choice([1.0, 30.0, 700.0]), size=(n, G))
+            yield a
+            yield np.round(a)  # ties at the row maximum
+            holes = a.copy()
+            holes[rng.random(a.shape) < 0.4] = -np.inf
+            holes[rng.integers(n)] = -np.inf  # at least one all -inf row
+            yield holes
+
+    def test_matches_scipy_within_two_ulp(self):
+        from scipy.special import logsumexp
+
+        for a in self._matrices():
+            want = logsumexp(a, axis=1)
+            got = mixture_mod._logsumexp_rows(a)
+            finite = np.isfinite(want)
+            np.testing.assert_array_equal(got[~finite], want[~finite])
+            np.testing.assert_array_max_ulp(got[finite], want[finite], maxulp=2)
+
+    def test_all_minus_inf_row_gives_minus_inf_without_warning(self):
+        a = np.array([[-np.inf, -np.inf], [0.0, np.log(3.0)]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = mixture_mod._logsumexp_rows(a)
+        assert out[0] == -np.inf
+        assert out[1] == pytest.approx(np.log(4.0), rel=1e-15)
 
 
 class TestMStep:
