@@ -327,6 +327,11 @@ def cmd_ga(args, argv: list[str]) -> int:
         model = win_sweep.models[win_sweep.best_G(criterion)]
     else:
         model = em_fit(sub, G, family, seed=seed, restarts=args.restarts)
+        if model.G != G:
+            raise CountmixError(
+                f"winning mask {winner.render()!r} refit with {model.G} components, "
+                f"not the requested G={G}"
+            )
     components = report_components(model, sub) if model.converged else []
     summaries = [
         {name: vars(cs) for name, cs in stats.items()} if stats is not None else None

@@ -2,7 +2,10 @@
 
 Both families use the log link, mu = exp(X beta).  The NB-2 density adds a
 dispersion alpha > 0 with variance mu * (1 + alpha * mu); alpha -> 0 recovers
-the Poisson model.  All operations are pure functions of their inputs, so
+the Poisson model.  One damped Newton solver fits both families: over beta
+for Poisson, and over the joint vector (beta, log alpha) for NB-2, with the
+analytic gradient and information built from the per-row derivatives in
+``_row_derivs``.  All operations are pure functions of their inputs, so
 multiple fits may run concurrently on shared read-only datasets.
 """
 
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.special import digamma, gammaln
+from scipy.special import digamma, gammaln, zeta
 
 from .data import Dataset
 from .errors import (
@@ -21,7 +24,6 @@ from .errors import (
     NumericOverflowError,
     SingularDesignError,
 )
-from .numdiff import jacobian_central
 
 POISSON = "poisson"
 NB2 = "nb2"
@@ -34,8 +36,10 @@ DEFAULT_GTOL = 1e-6       # max-norm of the gradient
 DEFAULT_MAX_ITER = 100
 MAX_HALVINGS = 20
 WEIGHT_FLOOR = 1e-10      # rows below this weight are excluded from the rank check
-# direct gammaln/digamma differences lose precision above this shape value
+# direct gammaln/polygamma differences lose precision above this shape value
 _LARGE_THETA = 1e6
+# the dispersion search box on the s = log(alpha) scale
+_S_LO, _S_HI = float(np.log(ALPHA_MIN)), float(np.log(ALPHA_MAX))
 
 
 @dataclass(frozen=True)
@@ -117,28 +121,27 @@ def poisson_loglik_grad(beta, d: Dataset, w=None) -> np.ndarray:
     return d.X.T @ resid
 
 
-def _lgamma_ratio(y: np.ndarray, theta: float) -> np.ndarray:
-    """log Gamma(y + theta) - log Gamma(theta) for integer counts y.
+# F and the term of its rising sum F(y + theta) - F(theta) = sum_{j<y} term(theta + j)
+_POLYGAMMA = {
+    -1: (gammaln, np.log),
+    0: (digamma, lambda z: 1.0 / z),
+    1: (lambda z: zeta(2.0, z), lambda z: -1.0 / z**2),  # trigamma(z) = zeta(2, z)
+}
 
-    For large theta the direct gammaln difference cancels catastrophically,
-    so the rising-factorial sum sum_{j<y} log(theta + j) is used instead.
+
+def _polygamma_ratio(y: np.ndarray, theta: float, order: int) -> np.ndarray:
+    """F(y + theta) - F(theta) for integer counts y.
+
+    F is log Gamma for ``order=-1``, digamma for 0 and trigamma for 1.
+    Above ``_LARGE_THETA`` the direct difference cancels catastrophically,
+    so the rising sum is used instead.
     """
+    f, term = _POLYGAMMA[order]
     if theta <= _LARGE_THETA:
-        return gammaln(np.asarray(y, dtype=float) + theta) - gammaln(theta)
+        return f(np.asarray(y, dtype=float) + theta) - f(theta)
     yi = np.asarray(y, dtype=np.int64)
     ymax = int(yi.max()) if yi.size else 0
-    steps = np.concatenate(([0.0], np.cumsum(np.log(theta + np.arange(ymax, dtype=float)))))
-    return steps[yi]
-
-
-def _digamma_ratio(y: np.ndarray, theta: float) -> np.ndarray:
-    """digamma(y + theta) - digamma(theta), stable for large theta."""
-    if theta <= _LARGE_THETA:
-        yf = np.asarray(y, dtype=float)
-        return digamma(yf + theta) - digamma(theta)
-    yi = np.asarray(y, dtype=np.int64)
-    ymax = int(yi.max()) if yi.size else 0
-    steps = np.concatenate(([0.0], np.cumsum(1.0 / (theta + np.arange(ymax, dtype=float)))))
+    steps = np.concatenate(([0.0], np.cumsum(term(theta + np.arange(ymax, dtype=float)))))
     return steps[yi]
 
 
@@ -156,7 +159,7 @@ def nb2_logpmf(beta, alpha: float, d: Dataset) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(amu > 1.0, -np.log1p(1.0 / amu), np.log(amu) - log1p_amu)
         ylog = np.where(d.y > 0, d.y * ratio, 0.0)
-    out = _lgamma_ratio(d.y, theta) + ylog - theta * log1p_amu - d.log_y_factorial
+    out = _polygamma_ratio(d.y, theta, -1) + ylog - theta * log1p_amu - d.log_y_factorial
     bad = np.isnan(out)
     if bad.any():
         row = int(np.flatnonzero(bad)[0])
@@ -169,18 +172,28 @@ def nb2_loglik(beta, alpha: float, d: Dataset, w=None) -> float:
     return _weighted_sum(_weights(d, w), nb2_logpmf(beta, alpha, d))
 
 
-def _nb2_alpha_grad_rows(y: np.ndarray, mu: np.ndarray, alpha: float) -> np.ndarray:
-    """Per-row derivative of the NB-2 log-density with respect to alpha."""
+def _row_derivs(family: str, y: np.ndarray, mu: np.ndarray, alpha: float):
+    """Per-row derivatives of the log-density in eta = x'beta and s = log(alpha).
+
+    Returns ``(u, i_ee, v, i_es, i_ss)``: the eta score u, the eta-eta
+    information weight i_ee and, for NB-2, the s score v and the eta-s and
+    s-s information terms (information is minus the second derivative).
+    The three s terms are None for Poisson.  With theta = 1/alpha,
+    L = log1p(alpha mu) and D, T the digamma and trigamma ratios:
+    v = theta (L - D) + u and
+    i_ss = theta (L - D) - mu / (1 + alpha mu) - theta^2 T + i_es.
+    """
+    if family == POISSON:
+        return y - mu, mu, None, None, None
     theta = 1.0 / alpha
     amu = alpha * mu
-    dig = _digamma_ratio(y, theta)
-    yf = np.asarray(y, dtype=float)
-    return (
-        -(theta**2) * dig
-        + yf / alpha
-        + theta**2 * np.log1p(amu)
-        - (yf + theta) * mu / (1.0 + amu)
-    )
+    opa = 1.0 + amu
+    u = (y - mu) / opa
+    i_ee = mu * (1.0 + alpha * y) / opa**2
+    i_es = u * amu / opa
+    tail = theta * (np.log1p(amu) - _polygamma_ratio(y, theta, 0))
+    i_ss = tail - mu / opa - theta**2 * _polygamma_ratio(y, theta, 1) + i_es
+    return u, i_ee, tail + u, i_es, i_ss
 
 
 def nb2_loglik_grad(beta, alpha: float, d: Dataset, w=None) -> np.ndarray:
@@ -191,11 +204,9 @@ def nb2_loglik_grad(beta, alpha: float, d: Dataset, w=None) -> np.ndarray:
     eta = _linear_predictor(beta, d)
     with np.errstate(over="ignore"):
         mu = np.exp(eta)
-    resid = np.where(w > 0.0, w * (d.y - mu) / (1.0 + alpha * mu), 0.0)
-    gbeta = d.X.T @ resid
-    arows = _nb2_alpha_grad_rows(d.y, mu, alpha)
-    galpha = _weighted_sum(w, arows)
-    return np.concatenate([gbeta, [galpha]])
+    u, _, v, _, _ = _row_derivs(NB2, d.y, mu, alpha)
+    gbeta = d.X.T @ np.where(w > 0.0, w * u, 0.0)
+    return np.append(gbeta, _weighted_sum(w, v) / alpha)  # d/d alpha = (d/ds) / alpha
 
 
 def check_design_rank(d: Dataset, w=None) -> None:
@@ -225,7 +236,7 @@ def check_design_rank(d: Dataset, w=None) -> None:
         )
 
 
-def _safe_poisson_ll(beta, d, w):
+def _poisson_ll(beta, d, w):
     # w is pre-validated by the fit entry point; skip revalidation in hot loops
     try:
         return _weighted_sum(w, poisson_logpmf(beta, d))
@@ -233,44 +244,125 @@ def _safe_poisson_ll(beta, d, w):
         return -np.inf
 
 
-def _newton_poisson(beta, d, w, tol, gtol, max_iter):
-    """Damped Newton ascent on the weighted Poisson log-likelihood."""
-    ll = _safe_poisson_ll(beta, d, w)
+def _nb2_ll(x, d, w):
+    # x = (beta, log alpha); w pre-validated as for _poisson_ll
+    try:
+        return _weighted_sum(w, nb2_logpmf(x[:-1], float(np.exp(x[-1])), d))
+    except NumericOverflowError:
+        return -np.inf
+
+
+def _poisson_derivs(beta, d, w):
+    """Gradient and information of the weighted Poisson log-likelihood."""
+    with np.errstate(over="ignore"):
+        mu = np.exp(d.X @ beta)
+    u, i_ee, _, _, _ = _row_derivs(POISSON, d.y, mu, 0.0)
+    grad = d.X.T @ np.where(w > 0.0, w * u, 0.0)
+    wmu = np.where(w > 0.0, w * i_ee, 0.0)
+    return grad, d.X.T @ (d.X * wmu[:, None])
+
+
+def _nb2_derivs(x, d, w):
+    """Gradient and information of the weighted NB-2 log-likelihood over (beta, s)."""
+    k = x.size - 1
+    with np.errstate(over="ignore"):
+        mu = np.exp(d.X @ x[:k])
+    u, i_ee, v, i_es, i_ss = (
+        np.where(w > 0.0, w * rows, 0.0)
+        for rows in _row_derivs(NB2, d.y, mu, float(np.exp(x[k])))
+    )
+    info = np.empty((k + 1, k + 1))
+    info[:k, :k] = d.X.T @ (d.X * i_ee[:, None])
+    info[:k, k] = info[k, :k] = d.X.T @ i_es
+    info[k, k] = i_ss.sum()
+    return np.append(d.X.T @ u, v.sum()), info
+
+
+_FAMILY_TERMS = {POISSON: (_poisson_derivs, _poisson_ll), NB2: (_nb2_derivs, _nb2_ll)}
+
+
+def _alpha_side(alpha: float) -> int:
+    """-1 on the lower dispersion bound, +1 on the upper, 0 strictly inside."""
+    if alpha <= ALPHA_MIN * (1.0 + 1e-9):
+        return -1
+    return 1 if alpha >= ALPHA_MAX * (1.0 - 1e-9) else 0
+
+
+def _solve(a, b):
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        return np.linalg.lstsq(a, b, rcond=None)[0]
+
+
+def _is_pd(a) -> bool:
+    try:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _newton(family, x, d, w, tol, gtol, max_iter):
+    """Damped Newton ascent on the weighted log-likelihood of one family.
+
+    Poisson steps over beta; NB-2 over (beta, s) with s = log(alpha) last.
+    s stays in [log ALPHA_MIN, log ALPHA_MAX] and is frozen while its
+    gradient points out of that box; its step is clipped to +-5, and where
+    the joint information is not positive definite s takes a bounded
+    uphill step of 0.5 beside beta's own Newton step.  Every step is
+    halved until the log-likelihood does not decrease.  Convergence needs
+    a gradient max-norm below ``gtol`` over the free coordinates and a
+    relative logL change below ``tol``; a fit whose step no longer
+    improves logL has converged if its Newton decrement g' I^-1 g / 2 is
+    at most ``tol * (1 + |logL|)``.
+    Returns (x, logL, converged, iterations, information at the last check).
+    """
+    derivs, loglik = _FAMILY_TERMS[family]
+    log_alpha = family == NB2
+    ll = loglik(x, d, w)
     prev_ll = None
     converged = False
     info = None
     iterations = 0
     for _ in range(max_iter):
-        eta = d.X @ beta
-        with np.errstate(over="ignore"):
-            mu = np.exp(eta)
-        grad = d.X.T @ np.where(w > 0.0, w * (d.y - mu), 0.0)
-        wmu = np.where(w > 0.0, w * mu, 0.0)
-        info = d.X.T @ (d.X * wmu[:, None])
-        small_grad = np.max(np.abs(grad)) < gtol
+        grad, info = derivs(x, d, w)
+        k = grad.size - 1 if log_alpha else grad.size  # beta coordinates
+        frozen = log_alpha and _alpha_side(float(np.exp(x[k]))) * grad[k] > 0.0
+        gfree = grad[:k] if frozen else grad
+        small_grad = np.max(np.abs(gfree)) < gtol
         small_change = prev_ll is None or abs(ll - prev_ll) <= tol * (1.0 + abs(ll))
         if small_grad and small_change:
             converged = True
             break
-        try:
-            step = np.linalg.solve(info, grad)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(info, grad, rcond=None)[0]
+        newton = not log_alpha or frozen or _is_pd(info)  # a Newton step on the free part
+        if newton and not frozen:
+            step = _solve(info, grad)
+        else:
+            s_move = 0.0 if frozen else 0.5 * np.sign(grad[k])
+            step = np.append(_solve(info[:k, :k], grad[:k]), s_move)
+        s_step = min(max(step[k], -5.0), 5.0) if log_alpha else 0.0
         t = 1.0
-        cand, cand_ll = beta, ll
+        cand, cand_ll = x, ll
         for _ in range(MAX_HALVINGS + 1):
-            trial = beta + t * step
-            trial_ll = _safe_poisson_ll(trial, d, w)
+            trial = x + t * step
+            if log_alpha:
+                trial[k] = min(max(x[k] + t * s_step, _S_LO), _S_HI)
+            trial_ll = loglik(trial, d, w)
             if trial_ll >= ll:
                 cand, cand_ll = trial, trial_ll
                 break
             t *= 0.5
-        if cand_ll < ll or (cand is beta):
-            break  # no ascent direction left at this precision
+        if cand is x:
+            # no ascent left at this precision: an optimum if the Newton
+            # decrement, the gain the quadratic model predicts, is negligible
+            decrement = 0.5 * float(gfree @ step[: gfree.size])
+            converged = newton and decrement <= tol * (1.0 + abs(ll))
+            break
         prev_ll = ll
-        beta, ll = cand, cand_ll
+        x, ll = cand, cand_ll
         iterations += 1
-    return beta, ll, converged, iterations, info
+    return x, ll, converged, iterations, info
 
 
 def _se_from_info(info: np.ndarray) -> np.ndarray:
@@ -280,6 +372,22 @@ def _se_from_info(info: np.ndarray) -> np.ndarray:
         return np.full(info.shape[0], np.nan)
     with np.errstate(invalid="ignore"):
         return np.sqrt(np.diag(cov))
+
+
+def _init_beta(init, d: Dataset) -> np.ndarray:
+    beta = np.asarray(init, dtype=float).copy()
+    if beta.shape != (d.p + 1,):
+        raise DimensionError("init beta has wrong length")
+    return beta
+
+
+def _poisson_start(d: Dataset, w: np.ndarray) -> np.ndarray:
+    """Intercept at the log weighted mean of y, other coefficients zero."""
+    wsum = w.sum()
+    ybar = float(w @ d.y) / wsum if wsum > 0 else 1.0
+    beta = np.zeros(d.p + 1)
+    beta[0] = np.log(max(ybar, 1e-8))
+    return beta
 
 
 def fit_poisson(
@@ -293,21 +401,14 @@ def fit_poisson(
     """Maximum-likelihood Poisson regression by damped Newton (IRLS).
 
     Convergence requires both a relative log-likelihood change below
-    ``tol`` and a gradient max-norm below ``gtol``.  Non-convergence
+    ``tol`` and a gradient max-norm below ``gtol``, or a negligible Newton
+    decrement once no step improves the log-likelihood.  Non-convergence
     returns the best iterate with ``converged=False`` rather than raising.
     """
     w = _weights(d, w)
     check_design_rank(d, w)
-    if init is not None:
-        beta = np.asarray(init, dtype=float).copy()
-        if beta.shape != (d.p + 1,):
-            raise DimensionError("init beta has wrong length")
-    else:
-        wsum = w.sum()
-        ybar = float(w @ d.y) / wsum if wsum > 0 else 1.0
-        beta = np.zeros(d.p + 1)
-        beta[0] = np.log(max(ybar, 1e-8))
-    beta, ll, converged, iterations, info = _newton_poisson(beta, d, w, tol, gtol, max_iter)
+    beta = _init_beta(init, d) if init is not None else _poisson_start(d, w)
+    beta, ll, converged, iterations, info = _newton(POISSON, beta, d, w, tol, gtol, max_iter)
     return GlmFit(
         family=POISSON,
         beta=beta,
@@ -317,96 +418,6 @@ def fit_poisson(
         converged=converged,
         iterations=iterations,
     )
-
-
-def _safe_nb2_ll(beta, alpha, d, w):
-    # w is pre-validated by the fit entry point; skip revalidation in hot loops
-    try:
-        return _weighted_sum(w, nb2_logpmf(beta, alpha, d))
-    except NumericOverflowError:
-        return -np.inf
-
-
-def _newton_beta_nb2(beta, alpha, d, w, tol, gtol, max_iter=30):
-    """Damped Newton on beta at fixed alpha; never decreases the objective."""
-    ll = _safe_nb2_ll(beta, alpha, d, w)
-    prev_ll = None
-    for _ in range(max_iter):
-        eta = d.X @ beta
-        with np.errstate(over="ignore"):
-            mu = np.exp(eta)
-        amu = alpha * mu
-        grad = d.X.T @ np.where(w > 0.0, w * (d.y - mu) / (1.0 + amu), 0.0)
-        if np.max(np.abs(grad)) < gtol and (
-            prev_ll is None or abs(ll - prev_ll) <= tol * (1.0 + abs(ll))
-        ):
-            break
-        # observed information weights: mu (1 + alpha y) / (1 + alpha mu)^2
-        wobs = np.where(w > 0.0, w * mu * (1.0 + alpha * d.y) / (1.0 + amu) ** 2, 0.0)
-        info = d.X.T @ (d.X * wobs[:, None])
-        try:
-            step = np.linalg.solve(info, grad)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(info, grad, rcond=None)[0]
-        t = 1.0
-        improved = False
-        for _ in range(MAX_HALVINGS + 1):
-            trial = beta + t * step
-            trial_ll = _safe_nb2_ll(trial, alpha, d, w)
-            if trial_ll >= ll:
-                prev_ll = ll
-                beta, ll = trial, trial_ll
-                improved = True
-                break
-            t *= 0.5
-        if not improved:
-            break
-    return beta, ll
-
-
-def _alpha_grad(beta, alpha, d, w):
-    # per-fit internal: weights already validated
-    with np.errstate(over="ignore"):
-        mu = np.exp(d.X @ beta)
-    return _weighted_sum(w, _nb2_alpha_grad_rows(d.y, mu, alpha))
-
-
-def _alpha_step(beta, alpha, d, w, ll, gtol):
-    """One safeguarded Newton update of alpha on the log scale.
-
-    Uses the analytic gradient and a finite-difference curvature; steps
-    that fail to improve the log-likelihood are halved, and the search
-    never leaves [ALPHA_MIN, ALPHA_MAX].  Returns (alpha, ll), never worse.
-    """
-    s = np.log(alpha)
-    gs = _alpha_grad(beta, alpha, d, w) * alpha  # chain rule to the log scale
-    if abs(gs) < 0.1 * gtol:
-        return alpha, ll
-    at_lo = alpha <= ALPHA_MIN * (1.0 + 1e-9)
-    at_hi = alpha >= ALPHA_MAX * (1.0 - 1e-9)
-    if (at_lo and gs < 0.0) or (at_hi and gs > 0.0):
-        return alpha, ll  # pinned: the gradient points outside the box
-    ds = 1e-4
-    gp = _alpha_grad(beta, float(np.exp(s + ds)), d, w) * np.exp(s + ds)
-    gm = _alpha_grad(beta, float(np.exp(s - ds)), d, w) * np.exp(s - ds)
-    curv = (gp - gm) / (2.0 * ds)
-    if np.isfinite(curv) and curv < -1e-12:
-        step = -gs / curv
-    else:
-        step = np.sign(gs) * 0.5  # non-concave region: bounded uphill step
-    step = float(np.clip(step, -5.0, 5.0))
-    lo, hi = np.log(ALPHA_MIN), np.log(ALPHA_MAX)
-    t = 1.0
-    for _ in range(MAX_HALVINGS + 1):
-        s_new = float(np.clip(s + t * step, lo, hi))
-        if s_new == s:
-            break
-        a_new = float(np.exp(s_new))
-        ll_new = _safe_nb2_ll(beta, a_new, d, w)
-        if ll_new >= ll:
-            return a_new, ll_new
-        t *= 0.5
-    return alpha, ll
 
 
 def _alpha_moment_estimate(beta, d, w):
@@ -425,17 +436,16 @@ def fit_nb2(
     tol: float = DEFAULT_TOL,
     gtol: float = DEFAULT_GTOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    compute_se: bool = True,
 ) -> GlmFit:
-    """Maximum-likelihood NB-2 regression.
+    """Maximum-likelihood NB-2 regression by damped Newton on (beta, log alpha).
 
-    Alternates damped Newton steps on beta (alpha fixed) with a
-    safeguarded 1-D Newton/bisection update of alpha on the log scale
-    (beta fixed) until joint convergence.  ``init`` may be a
-    ``(beta, alpha)`` pair for warm starts.  An alpha that ends on a
-    search bound sets ``alpha_pinned`` instead of raising.
-    ``compute_se=False`` skips the (relatively costly) standard-error
-    pass; EM inner loops use this.
+    Every step solves with the analytic joint information, so beta and
+    the dispersion move together; the stopping rule is
+    :func:`fit_poisson`'s over both.  ``init`` may be a ``(beta, alpha)``
+    pair for warm starts; a cold start takes beta from a Poisson fit and
+    alpha from a moment estimate.  Alpha stays in [ALPHA_MIN, ALPHA_MAX];
+    one that ends on a bound sets ``alpha_pinned`` instead of raising.
+    ``se`` holds the beta part of the inverse joint information.
     """
     w = _weights(d, w)
     if d.n < d.p + 2:
@@ -443,62 +453,24 @@ def fit_nb2(
     check_design_rank(d, w)
     if init is not None:
         beta0, alpha0 = init
-        beta = np.asarray(beta0, dtype=float).copy()
-        if beta.shape != (d.p + 1,):
-            raise DimensionError("init beta has wrong length")
+        beta = _init_beta(beta0, d)
         alpha = float(np.clip(alpha0, ALPHA_MIN, ALPHA_MAX))
     else:
-        beta = fit_poisson(d, w, tol=tol, gtol=gtol, max_iter=max_iter).beta
+        beta = _newton(POISSON, _poisson_start(d, w), d, w, tol, gtol, max_iter)[0]
         alpha = _alpha_moment_estimate(beta, d, w)
-
-    ll = _safe_nb2_ll(beta, alpha, d, w)
-    prev_ll = None
-    converged = False
-    iterations = 0
-    for _ in range(max_iter):
-        with np.errstate(over="ignore"):
-            mu = np.exp(d.X @ beta)
-        gb = d.X.T @ np.where(w > 0.0, w * (d.y - mu) / (1.0 + alpha * mu), 0.0)
-        ga = _weighted_sum(w, _nb2_alpha_grad_rows(d.y, mu, alpha))
-        at_lo = alpha <= ALPHA_MIN * (1.0 + 1e-9)
-        at_hi = alpha >= ALPHA_MAX * (1.0 - 1e-9)
-        alpha_ok = (
-            abs(ga * alpha) < gtol or (at_lo and ga < 0.0) or (at_hi and ga > 0.0)
-        )
-        small_change = prev_ll is None or abs(ll - prev_ll) <= tol * (1.0 + abs(ll))
-        if np.max(np.abs(gb)) < gtol and alpha_ok and small_change:
-            converged = True
-            break
-        prev_ll = ll
-        beta, ll = _newton_beta_nb2(beta, alpha, d, w, tol, gtol)
-        alpha, ll = _alpha_step(beta, alpha, d, w, ll, gtol)
-        iterations += 1
-
-    se = np.full(d.p + 1, np.nan)
-    if compute_se:
-        # joint observed information over (beta, alpha)
-        def _grad(theta):
-            a = float(np.clip(theta[-1], ALPHA_MIN / 10.0, ALPHA_MAX * 10.0))
-            return nb2_loglik_grad(theta[:-1], a, d, w)
-
-        theta = np.concatenate([beta, [alpha]])
-        try:
-            J = jacobian_central(_grad, theta)
-            info = -(J + J.T) / 2.0
-            se = _se_from_info(info)[: d.p + 1]
-        except (NumericOverflowError, np.linalg.LinAlgError):
-            pass
+    x, ll, converged, iterations, info = _newton(
+        NB2, np.append(beta, np.log(alpha)), d, w, tol, gtol, max_iter
+    )
+    alpha = float(np.exp(x[-1]))
     return GlmFit(
         family=NB2,
-        beta=beta,
-        alpha=float(alpha),
-        se=se,
+        beta=x[:-1],
+        alpha=alpha,
+        se=_se_from_info(info)[:-1],
         logL=ll,
         converged=converged,
         iterations=iterations,
-        alpha_pinned=bool(
-            alpha <= ALPHA_MIN * (1.0 + 1e-9) or alpha >= ALPHA_MAX * (1.0 - 1e-9)
-        ),
+        alpha_pinned=_alpha_side(alpha) != 0,
     )
 
 

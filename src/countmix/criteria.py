@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import countglm
-from .countglm import NB2, POISSON, validate_family
+from .countglm import NB2, validate_family
 from .data import Dataset
 from .errors import DomainError, InformationMatrixError, NumericOverflowError
 from .mixture import ComponentParams, MixtureModel, _logsumexp_rows, log_density_matrix
@@ -132,22 +132,17 @@ def _mixture_grad(theta: np.ndarray, d: Dataset, family: str, G: int) -> np.ndar
     resp = np.exp(logw - norm[:, None])
 
     pieces = []
-    y = d.y.astype(float)
+    s_scores = []  # NB-2: d logL / d log(alpha_g)
     for g in range(G):
         mu = np.exp(d.X @ betas[g])
-        if family == POISSON:
-            u = y - mu
-        else:
-            u = (y - mu) / (1.0 + alphas[g] * mu)
+        u, _, v, _, _ = countglm._row_derivs(family, d.y, mu, alphas[g])
         pieces.append(d.X.T @ (resp[:, g] * u))
+        if family == NB2:
+            s_scores.append(float(resp[:, g] @ v))
     if G > 1:
         # logit reparameterization: d logL / d t_g = sum_i r_ig - pi_g * n
         pieces.append(resp.sum(axis=0)[: G - 1] - pis[: G - 1] * d.n)
-    if family == NB2:
-        for g in range(G):
-            mu = np.exp(d.X @ betas[g])
-            arows = countglm._nb2_alpha_grad_rows(d.y, mu, alphas[g])
-            pieces.append(np.array([alphas[g] * float(resp[:, g] @ arows)]))
+    pieces.append(np.array(s_scores))
     return np.concatenate(pieces)
 
 

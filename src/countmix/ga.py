@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import countglm
 from .countglm import NB2, POISSON
 from .criteria import ScoreRow, score_model
 from .data import (
@@ -246,16 +247,6 @@ def evolve(d: Dataset, cfg: GaConfig, family: str | None = None) -> list[SubsetR
     return records
 
 
-def _component_variance_weights(model: MixtureModel, d: Dataset, g: int):
-    """Per-row observed-information weights for component g."""
-    comp = model.components[g]
-    mu = np.exp(d.X @ comp.beta)
-    if model.family == POISSON:
-        return mu
-    amu = comp.alpha * mu
-    return mu * (1.0 + comp.alpha * d.y) / (1.0 + amu) ** 2
-
-
 def report_components(model: MixtureModel, d: Dataset) -> list[dict]:
     """Per-component coefficient tables with Wald 2.5% / 97.5% bounds.
 
@@ -282,7 +273,8 @@ def report_components(model: MixtureModel, d: Dataset) -> list[dict]:
                 dropped.add(j)
             else:
                 active.append(j)
-        v = _component_variance_weights(model, d, g)
+        # per-row observed-information weights of the component's beta
+        v = countglm._row_derivs(model.family, d.y, np.exp(d.X @ comp.beta), comp.alpha)[1]
         Xa = d.X[:, active]
         wts = np.where(r > 0.0, r * v, 0.0)
         info = Xa.T @ (Xa * wts[:, None])

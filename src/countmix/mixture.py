@@ -27,10 +27,11 @@ DEFAULT_RESTARTS = 5
 DEFAULT_EM_TOL = 1e-8
 DEFAULT_EM_MAX_ITER = 500
 INIT_EM_ITER = 50
-# inner-fit iteration cap inside the M-step: warm-started refits converge in
-# a couple of steps near the EM fixed point, so this only bounds the cost of
-# early, still-moving iterations (each accepted inner step already improves
-# the weighted likelihood, so EM monotonicity is unaffected)
+# Newton-step cap of each inner fit in the M-step (for NB-2, joint steps in
+# beta and log alpha): warm-started refits converge in a couple of steps near
+# the EM fixed point, so this only bounds the cost of early, still-moving
+# iterations (each accepted step already improves the weighted likelihood, so
+# EM monotonicity is unaffected)
 M_STEP_FIT_MAX_ITER = 15
 
 
@@ -191,9 +192,7 @@ def m_step(resp: np.ndarray, d: Dataset, family: str, prev=None):
             comps.append(ComponentParams(pi=float(pis[g]), beta=fit.beta, alpha=0.0))
         else:
             init = (prev[g].beta, prev[g].alpha) if prev is not None else None
-            fit = countglm.fit_nb2(
-                d, w=w, init=init, max_iter=M_STEP_FIT_MAX_ITER, compute_se=False
-            )
+            fit = countglm.fit_nb2(d, w=w, init=init, max_iter=M_STEP_FIT_MAX_ITER)
             comps.append(
                 ComponentParams(pi=float(pis[g]), beta=fit.beta, alpha=fit.alpha)
             )

@@ -55,7 +55,7 @@ def choose_family(d: Dataset, threshold: float = DEFAULT_ALPHA_THRESHOLD) -> str
     back to the raw variance/mean ratio (> FALLBACK_RATIO means NB-2).
     """
     try:
-        fit = countglm.fit_nb2(d, compute_se=False)
+        fit = countglm.fit_nb2(d)
         return POISSON if fit.alpha < threshold else NB2
     except CountmixError as exc:
         warnings.warn(

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+import countmix.cli as cli_mod
 from countmix.cli import main
 
 
@@ -252,6 +253,28 @@ class TestGa:
         report = json.loads((out / "report.json").read_text())
         assert report["ga_records"][0]["subset"] == "1"
 
+    def test_winner_refit_at_smaller_g_exits_3(self, sim_dir, tmp_path, capsys, monkeypatch):
+        # a fixed-G run must not report a winner refit with fewer components
+        real_em_fit = cli_mod.em_fit
+
+        def shrinking(d, G, family, **kwargs):
+            return real_em_fit(d, G - 1, family, **kwargs)
+
+        monkeypatch.setattr(cli_mod, "em_fit", shrinking)
+        out = tmp_path / "ga_shrunk"
+        code = run(
+            [
+                "ga", "--data", str(sim_dir / "data.csv"), "--outcome", "y",
+                "--covariates", "x", "--seed", "7", "--g", "2",
+                "--restarts", "1", "--family", "poisson",
+                "--force-mask", "all", "--out", str(out),
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "'1'" in err and "G=2" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_icomp_unavailable_everywhere_exits_3(self, tmp_path, capsys):
         # a near-duplicate covariate leaves the observed information of the

@@ -4,7 +4,9 @@ from scipy import stats
 
 from countmix import (
     Dataset,
+    countglm,
     dispersion_stat,
+    em_fit,
     fit_nb2,
     fit_poisson,
     nb2_loglik,
@@ -117,6 +119,26 @@ class TestGradients:
             )[0]
             assert np.max(np.abs(g - fd) / (1.0 + np.abs(fd))) < 1e-5
 
+    # 1e-7 and 1e-9 put theta = 1/alpha above 1e6, on the rising-sum branch
+    @pytest.mark.parametrize("alpha", [1e-9, 1e-7, 1e-3, 0.3, 2.0, 50.0])
+    def test_nb2_joint_information_matches_fd(self, alpha):
+        rng = np.random.default_rng(13)
+        n = 80
+        X = np.column_stack([np.ones(n), rng.normal(size=n), rng.uniform(size=n)])
+        y = rng.poisson(np.exp(1.0 + 0.3 * X[:, 1]) * rng.gamma(2.0, 0.5, n))
+        d = Dataset(y=y, X=X, names=("a", "b"))
+        w = rng.uniform(0.0, 1.0, n)
+        x = np.array([0.9, 0.25, 0.1, np.log(alpha)])  # (beta, log alpha)
+        grad, info = countglm._nb2_derivs(x, d, w)
+        fd_grad = jacobian_central(
+            lambda t: np.array([countglm._nb2_ll(t, d, w)]), x, rel_step=1e-6
+        )[0]
+        assert np.max(np.abs(grad - fd_grad) / (1.0 + np.abs(fd_grad))) < 1e-5
+        J = jacobian_central(lambda t: countglm._nb2_derivs(t, d, w)[0], x, rel_step=1e-6)
+        fd_info = -(J + J.T) / 2.0
+        np.testing.assert_allclose(info, info.T, rtol=1e-12)
+        assert np.max(np.abs(info - fd_info)) <= 1e-6 * np.max(np.abs(info))
+
 
 class TestFitPoisson:
     def test_intercept_only_closed_form(self, intercept_only):
@@ -175,6 +197,22 @@ class TestFitPoisson:
         assert np.isfinite(fit.logL)
         assert fit.logL > -1e-6
 
+    @pytest.mark.parametrize("seed", [219, 320])
+    def test_stall_at_optimum_counts_as_converged(self, seed):
+        # a lone covariate on [10, 11.5] leaves a gradient above gtol that no
+        # step can reduce in floating point; the Newton decrement is ~0 there
+        rng = np.random.default_rng(seed)
+        n = 95
+        inc = rng.uniform(10.0, 11.5, n)
+        y = rng.poisson(np.exp(2.0 + 0.3 * (inc - 10.75)))
+        d = Dataset(y=y, X=np.column_stack([np.ones(n), inc]), names=("INC",))
+        fit = fit_poisson(d)
+        assert np.max(np.abs(poisson_loglik_grad(fit.beta, d))) > countglm.DEFAULT_GTOL
+        assert fit.converged
+        model = em_fit(d, 1, "poisson", seed=0)
+        assert model.converged
+        assert fit.logL == pytest.approx(model.logL, rel=1e-12)
+
     def test_warm_start_converges_immediately(self, poisson_data):
         d = poisson_data(n=100, seed=9)
         first = fit_poisson(d)
@@ -231,6 +269,23 @@ class TestFitNb2:
         again = fit_nb2(d, init=(first.beta, first.alpha))
         assert again.iterations <= 1
         assert again.logL == pytest.approx(first.logL, abs=1e-8)
+
+    # weighted, nearly equidispersed samples whose alpha MLE lies below 1e-5;
+    # alternating beta and alpha updates stop here at the 100-iteration cap,
+    # unconverged, with these log-likelihoods
+    @pytest.mark.parametrize(
+        "seed, capped_logL", [(11, -368.7706581366758), (12, -399.07829374708245)]
+    )
+    def test_converges_where_alternating_fit_hits_iteration_cap(self, seed, capped_logL):
+        rng = np.random.default_rng(seed)
+        n = 500
+        mu = np.exp(rng.uniform(0, 2))
+        y = rng.negative_binomial(100.0, 1 / (1 + 0.01 * mu), n)
+        w = rng.uniform(0, 1, n)
+        fit = fit_nb2(Dataset(y=y, X=np.ones((n, 1)), names=()), w=w)
+        assert fit.converged
+        assert fit.iterations < 20
+        assert fit.logL >= capped_logL
 
     def test_uniform_poisson_limit_on_bounded_data(self, poisson_data):
         d = poisson_data(n=100, seed=51)

@@ -106,7 +106,7 @@ class TestChooseFamily:
         X = np.column_stack([np.ones(400), rng.normal(size=400)])
         y = rng.poisson(rng.gamma(2.0, 0.5 * np.exp(1.2 + 0.3 * X[:, 1])))
         d = Dataset(y=y, X=X, names=("x",))
-        fitted_alpha = fit_nb2(d, compute_se=False).alpha
+        fitted_alpha = fit_nb2(d).alpha
         # strict-less rule: a fitted alpha equal to the threshold is NB-2
         assert choose_family(d, threshold=fitted_alpha) == NB2
         assert choose_family(d, threshold=fitted_alpha * (1.0 + 1e-9)) == POISSON
