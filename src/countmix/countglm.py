@@ -316,7 +316,7 @@ def _newton(family, x, d, w, tol, gtol, max_iter):
     relative logL change below ``tol``; a fit whose step no longer
     improves logL has converged if its Newton decrement g' I^-1 g / 2 is
     at most ``tol * (1 + |logL|)``.
-    Returns (x, logL, converged, iterations, information at the last check).
+    Returns (x, logL, converged, iterations, information at the returned x).
     """
     derivs, loglik = _FAMILY_TERMS[family]
     log_alpha = family == NB2
@@ -362,6 +362,8 @@ def _newton(family, x, d, w, tol, gtol, max_iter):
         prev_ll = ll
         x, ll = cand, cand_ll
         iterations += 1
+    else:
+        info = derivs(x, d, w)[1]  # the cap ended the loop: x moved since the last check
     return x, ll, converged, iterations, info
 
 

@@ -4,8 +4,11 @@ ICOMP penalizes the C1 entropic complexity of the inverse of the observed
 information matrix.  The information matrix is taken over free parameters
 only: mixture weights are reparameterized to G-1 logits against the last
 component and NB-2 dispersions sit on the log scale, which keeps the
-matrix full rank despite the simplex constraint.  Instability of that
-matrix is a value-level outcome (ICOMP unavailable), never an exception.
+matrix full rank despite the simplex constraint.  It is computed in closed
+form by Louis's (1982) missing-information identity from the per-row
+derivatives in ``countglm._row_derivs`` (see :func:`observed_info`).
+Instability of that matrix is a value-level outcome (ICOMP unavailable),
+never an exception.
 """
 
 from __future__ import annotations
@@ -19,8 +22,7 @@ from . import countglm
 from .countglm import NB2, validate_family
 from .data import Dataset
 from .errors import DomainError, InformationMatrixError, NumericOverflowError
-from .mixture import ComponentParams, MixtureModel, _logsumexp_rows, log_density_matrix
-from .numdiff import jacobian_central
+from .mixture import MixtureModel, _posterior, log_density_matrix
 
 CRITERIA = ("aic", "sbc", "caic", "icomp")
 
@@ -85,85 +87,60 @@ def caic(logL: float, n_k: int, n: int) -> float:
     return -2.0 * logL + n_k * (math.log(n) + 1.0)
 
 
-def _pack_params(model: MixtureModel) -> np.ndarray:
-    """Free-parameter vector: [beta_1..beta_G, logit weights, log alphas (NB-2)].
-
-    Weight logit g is log(pi_g / pi_G) for g < G.
-    """
-    parts = [np.asarray(c.beta, dtype=float) for c in model.components]
-    pis = np.array([c.pi for c in model.components])
-    G = model.G
-    if G > 1:
-        parts.append(np.log(pis[:-1] / pis[-1]))
-    if model.family == NB2:
-        parts.append(np.log([c.alpha for c in model.components]))
-    return np.concatenate(parts) if parts else np.empty(0)
-
-
-def _unpack_params(theta: np.ndarray, G: int, p: int, family: str):
-    k = p + 1
-    betas = [theta[g * k : (g + 1) * k] for g in range(G)]
-    pos = G * k
-    if G > 1:
-        logits = theta[pos : pos + G - 1]
-        pos += G - 1
-        expl = np.exp(logits - logits.max(initial=0.0))
-        denom = expl.sum() + np.exp(-logits.max(initial=0.0))
-        pis = np.concatenate([expl, [np.exp(-logits.max(initial=0.0))]]) / denom
-    else:
-        pis = np.ones(1)
-    if family == NB2:
-        alphas = np.exp(theta[pos : pos + G])
-    else:
-        alphas = np.zeros(G)
-    return pis, betas, alphas
-
-
-def _mixture_grad(theta: np.ndarray, d: Dataset, family: str, G: int) -> np.ndarray:
-    """Analytic gradient of the observed-data mixture log-likelihood.
-
-    Uses the standard identity d logL / d phi_g = sum_i r_ig d log f_ig / d phi_g
-    with responsibilities r evaluated at theta.
-    """
-    pis, betas, alphas = _unpack_params(theta, G, d.p, family)
-    comps = [ComponentParams(pi=pis[g], beta=betas[g], alpha=alphas[g]) for g in range(G)]
-    logw = log_density_matrix(comps, d, family) + np.log(pis)
-    norm = _logsumexp_rows(logw)
-    resp = np.exp(logw - norm[:, None])
-
-    pieces = []
-    s_scores = []  # NB-2: d logL / d log(alpha_g)
-    for g in range(G):
-        mu = np.exp(d.X @ betas[g])
-        u, _, v, _, _ = countglm._row_derivs(family, d.y, mu, alphas[g])
-        pieces.append(d.X.T @ (resp[:, g] * u))
-        if family == NB2:
-            s_scores.append(float(resp[:, g] @ v))
-    if G > 1:
-        # logit reparameterization: d logL / d t_g = sum_i r_ig - pi_g * n
-        pieces.append(resp.sum(axis=0)[: G - 1] - pis[: G - 1] * d.n)
-    pieces.append(np.array(s_scores))
-    return np.concatenate(pieces)
-
-
 def observed_info(model: MixtureModel, d: Dataset) -> np.ndarray:
-    """Negative Hessian of the mixture log-likelihood at the fitted parameters.
+    """Observed information of the mixture log-likelihood at the fitted parameters.
 
-    Computed by central finite differences of the analytic gradient
-    (step 1e-5 * (1 + |theta_j|)) and symmetrized as (H + H^T)/2.
+    The free parameters are laid out as [beta_1..beta_G, t_1..t_{G-1},
+    s_1..s_G], where t_g = log(pi_g / pi_G) is a weight logit against the
+    last component and s_g = log(alpha_g) appears for NB-2 only.  The
+    matrix is Louis's (1982) missing-information identity,
+
+        I = sum_ig r_ig H_ig - sum_ig r_ig s_ig s_ig' + sum_i sbar_i sbar_i',
+
+    with r the posterior responsibilities, s_ig and H_ig the score and
+    negative Hessian of log(pi_g f_ig), and sbar_i = sum_g r_ig s_ig.  The
+    last two terms are summed as sum_ig r_ig (s_ig - sbar_i)(s_ig - sbar_i)',
+    which is exactly zero at G = 1.  The logit scores are delta_gh - pi_h,
+    so the weight block of the first term is n (diag pi - pi pi').  The
+    result is symmetrized as (I + I')/2.
     """
     if not model.converged:
         raise DomainError("observed_info requires a converged model")
-    theta = _pack_params(model)
-
-    def grad(t):
-        return _mixture_grad(t, d, model.family, model.G)
-
+    comps, G, k = model.components, model.G, d.p + 1
+    pis = np.array([c.pi for c in comps])
+    nb2 = model.family == NB2
+    t0 = G * k  # first weight logit; the log alphas follow the G - 1 logits
+    size = t0 + G - 1 + (G if nb2 else 0)
     try:
-        J = jacobian_central(grad, theta, rel_step=1e-5)
+        logf = log_density_matrix(comps, d, model.family)
     except NumericOverflowError as exc:
-        raise InformationMatrixError(f"gradient evaluation failed: {exc}") from exc
-    info = -(J + J.T) / 2.0
+        raise InformationMatrixError(f"log-density evaluation failed: {exc}") from exc
+    norm, resp = _posterior(logf, pis, warn=False)
+    if not np.all(np.isfinite(norm)):
+        raise InformationMatrixError("a row has zero density under every component")
+
+    info = np.zeros((size, size))
+    scores = np.zeros((d.n, G, size))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for g, c in enumerate(comps):
+            mu = np.exp(d.X @ c.beta)
+            u, i_ee, v, i_es, i_ss = countglm._row_derivs(model.family, d.y, mu, c.alpha)
+            r = resp[:, g]
+            b = slice(g * k, (g + 1) * k)
+            scores[:, g, b] = d.X * u[:, None]
+            info[b, b] = d.X.T @ (d.X * (r * i_ee)[:, None])
+            if nb2:
+                j = t0 + G - 1 + g
+                scores[:, g, j] = v
+                info[b, j] = info[j, b] = d.X.T @ (r * i_es)
+                info[j, j] = r @ i_ss
+        if G > 1:
+            t, head = slice(t0, t0 + G - 1), pis[:-1]
+            scores[:, :, t] = np.eye(G)[:, :-1] - head
+            info[t, t] = d.n * (np.diag(head) - np.outer(head, head))
+        centred = (scores - np.einsum("ig,igk->ik", resp, scores)[:, None, :]).reshape(-1, size)
+        info -= centred.T @ (centred * resp.reshape(-1, 1))
+    info = (info + info.T) / 2.0
     if not np.all(np.isfinite(info)):
         raise InformationMatrixError("observed information has non-finite entries")
     return info

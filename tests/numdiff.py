@@ -1,4 +1,5 @@
-"""Central finite differences of vector-valued functions."""
+"""Central finite differences of vector-valued functions: the test oracle
+for the analytic gradients and information matrices."""
 
 import numpy as np
 

@@ -40,7 +40,7 @@ from countmix import (
 from countmix import GaConfig
 from countmix.cli import main as cli_main
 from countmix.criteria import ScoreRow
-from countmix.numdiff import jacobian_central
+from numdiff import jacobian_central
 
 
 def _report(num, description, ok):

@@ -1,9 +1,12 @@
 import csv
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import countmix.cli as cli_mod
 from countmix.cli import main
@@ -351,3 +354,50 @@ class TestStandardize:
         assert plain_rows["y"] == scaled_rows["y"]
         assert abs(float(scaled_rows["x"]["mean"])) < 1e-10
         assert abs(float(scaled_rows["x"]["sd"]) - 1.0) < 1e-10
+
+
+@st.composite
+def _tiny_csv_text(draw):
+    """A small CSV near the edges of what a G=2 mixture can be fitted to.
+
+    n lies just above G(p+2) for G = 2; the last covariate may be constant
+    or a near-duplicate of the first; y may be all equal.
+    """
+    p = draw(st.integers(1, 2))
+    n = 2 * (p + 2) + draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    X = rng.normal(size=(n, p))
+    last = draw(st.sampled_from(["normal", "constant", "near_duplicate"]))
+    if last == "constant":
+        X[:, -1] = 1.5
+    elif last == "near_duplicate" and p > 1:
+        X[:, -1] = X[:, 0] + 1e-9 * rng.normal(size=n)
+    if draw(st.booleans()):
+        y = np.full(n, draw(st.integers(0, 3)))
+    else:
+        y = rng.poisson(np.exp(1.0 + 0.5 * X[:, 0]) * rng.gamma(2.0, 0.5, n))
+    names = [f"x{j + 1}" for j in range(p)]
+    lines = [",".join(["y"] + names)]
+    lines += [",".join([str(int(y[i]))] + [repr(float(v)) for v in X[i]]) for i in range(n)]
+    return "\n".join(lines) + "\n", ",".join(names)
+
+
+class TestIcompNeverATraceback:
+    """ICOMP paths end in exit code 0, 2 or 3 on degenerate tiny inputs, never a traceback."""
+
+    @given(data=_tiny_csv_text(), family=st.sampled_from(["auto", "poisson", "nb2"]))
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    def test_sweep_and_ga_exit_cleanly(self, data, family):
+        text, covariates = data
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "data.csv")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            common = [
+                "--data", path, "--outcome", "y", "--covariates", covariates,
+                "--seed", "1", "--family", family, "--criterion", "icomp",
+            ]
+            sweep = ["sweep", *common, "--gmax", "2", "--out", os.path.join(tmp, "s")]
+            assert run(sweep) in (0, 2, 3)
+            ga = ["ga", *common, "--g", "1", "--runs", "2", "--gens", "2"]
+            assert run([*ga, "--out", os.path.join(tmp, "g")]) in (0, 2, 3)

@@ -20,7 +20,7 @@ from countmix.errors import (
     NumericOverflowError,
     SingularDesignError,
 )
-from countmix.numdiff import jacobian_central
+from numdiff import jacobian_central
 
 
 class TestPoissonLoglik:
@@ -294,6 +294,36 @@ class TestFitNb2:
             beta = rng.normal(1.0, 0.4, size=2)
             gap = abs(nb2_loglik(beta, 1e-10, d) - poisson_loglik(beta, d))
             assert gap < 1e-4
+
+
+class TestIterationCap:
+    """A fit stopped by ``max_iter`` reports SEs of the coefficients it returns."""
+
+    @staticmethod
+    def _oracle_se(fit, d):
+        if fit.family == "poisson":
+            mu = np.exp(d.X @ fit.beta)
+            return np.sqrt(np.diag(np.linalg.inv(d.X.T @ (d.X * mu[:, None]))))
+        k = fit.beta.size
+
+        def grad(x):  # gradient over (beta, log alpha)
+            g = nb2_loglik_grad(x[:k], float(np.exp(x[k])), d)
+            return np.append(g[:k], g[k] * np.exp(x[k]))
+
+        J = jacobian_central(grad, np.append(fit.beta, np.log(fit.alpha)), rel_step=1e-6)
+        return np.sqrt(np.diag(np.linalg.inv(-(J + J.T) / 2.0)))[:k]
+
+    @pytest.mark.parametrize("family", ["poisson", "nb2"])
+    def test_se_belongs_to_returned_iterate(self, family):
+        rng = np.random.default_rng(61)
+        n = 200
+        X = np.column_stack([np.ones(n), rng.normal(size=n)])
+        mu = np.exp(1.5 + 0.8 * X[:, 1])
+        y = rng.poisson(rng.gamma(2.0, 0.5 * mu) if family == "nb2" else mu)
+        d = Dataset(y=y, X=X, names=("x",))
+        fit = (fit_nb2 if family == "nb2" else fit_poisson)(d, max_iter=2)
+        assert not fit.converged and fit.iterations == 2
+        np.testing.assert_allclose(fit.se, self._oracle_se(fit, d), rtol=1e-5)
 
 
 class TestDispersionStat:

@@ -24,7 +24,7 @@ from countmix import (
     sbc,
     score_model,
 )
-from countmix.criteria import _pack_params, ifim_condition
+from countmix.criteria import ifim_condition
 from countmix.errors import DomainError
 
 
@@ -96,28 +96,55 @@ class TestObservedInfo:
         assert info.shape == (1, 1)
         assert info[0, 0] == pytest.approx(d.n * d.y.mean(), rel=1e-5)
 
-    def test_matches_second_difference_oracle(self):
-        spec = MixtureSpec(weights=(0.45, 0.55), betas=((0.6, 0.9), (2.4, -0.5)))
-        d, _ = gen_regression_mixture(spec, 120, seed=3)
-        model = em_fit(d, 2, POISSON, seed=1, restarts=2)
+    # (family, true weights, betas, alphas, n, data seed, EM seed): G = 3
+    # exercises the two-logit weight block, NB-2 the beta-log(alpha) blocks
+    @pytest.mark.parametrize(
+        "family, weights, betas, alphas, n, seed, em_seed",
+        [
+            (POISSON, (0.45, 0.55), ((0.6, 0.9), (2.4, -0.5)), (), 120, 3, 1),
+            (POISSON, (0.3, 0.3, 0.4), ((0.2, 0.9), (1.6, -0.6), (3.0, 0.3)), (), 300, 5, 2),
+            (NB2, (0.4, 0.6), ((0.5, 0.8), (2.5, -0.4)), (0.3, 0.2), 300, 6, 3),
+        ],
+        ids=["poisson_g2", "poisson_g3", "nb2_g2"],
+    )
+    def test_matches_second_difference_oracle(
+        self, family, weights, betas, alphas, n, seed, em_seed
+    ):
+        spec = MixtureSpec(weights=weights, betas=betas, alphas=alphas)
+        d, _ = gen_regression_mixture(spec, n, seed=seed)
+        G = len(weights)
+        model = em_fit(d, G, family, seed=em_seed, restarts=2)
+        assert model.converged and model.G == G
+        if family == NB2:
+            assert all(1e-3 < c.alpha < 10.0 for c in model.components)
         info = observed_info(model, d)
 
         # independent oracle: second differences of the mixture log-likelihood
-        # under the documented free-parameter layout
+        # under the documented free-parameter layout [betas, logits, log alphas]
         k = d.p + 1
 
         def loglik_at(theta):
-            b1, b2 = theta[:k], theta[k : 2 * k]
-            t = theta[2 * k]
-            pi1 = math.exp(t) / (1.0 + math.exp(t))
-            comps = (
-                ComponentParams(pi=pi1, beta=b1),
-                ComponentParams(pi=1.0 - pi1, beta=b2),
+            logits = np.append(theta[G * k : G * k + G - 1], 0.0)
+            pis = np.exp(logits) / np.exp(logits).sum()
+            log_alphas = theta[G * k + G - 1 :] if family == NB2 else np.full(G, -np.inf)
+            comps = tuple(
+                ComponentParams(
+                    pi=float(pis[g]),
+                    beta=theta[g * k : (g + 1) * k],
+                    alpha=float(np.exp(log_alphas[g])),
+                )
+                for g in range(G)
             )
-            return mixture_loglik(comps, d, POISSON)
+            return mixture_loglik(comps, d, family)
 
-        theta0 = _pack_params(model)
+        pis = np.array([c.pi for c in model.components])
+        theta0 = np.concatenate(
+            [c.beta for c in model.components]
+            + [np.log(pis[:-1] / pis[-1])]
+            + ([np.log([c.alpha for c in model.components])] if family == NB2 else [])
+        )
         s = theta0.size
+        assert info.shape == (s, s)
         H = np.zeros((s, s))
         h = 1e-4
         for i in range(s):
