@@ -1,0 +1,114 @@
+"""Paired benchmark runs: a parent revision against the working tree.
+
+    python3 scripts/bench_pairs.py --parent REV --workload W --seeds A-B
+
+Checks REV out into a temporary git worktree outside the repository.  For
+each seed N in A..B it runs ``python3 bench/run.py --workload W --seed N
+--seconds 30 --trace 0`` once in the parent's tree and once in the
+working tree, alternating seed by seed which side runs first.  For every
+end-to-end metric that BENCHMARK.json declares it prints each side's
+median and quartiles and the number of pairs the working tree wins (ties
+count for neither side).  The last line of standard output is one JSON
+object, {"summary": ..., "runs": [...]}, in the layout of the
+``BENCH_*.json`` workload entries.  The worktree is removed at exit.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _parse(argv):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True, help="git revision to compare against")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seeds", required=True, help="inclusive range A-B")
+    args = parser.parse_args(argv)
+    try:
+        lo, hi = (int(v) for v in args.seeds.split("-"))
+    except ValueError:
+        parser.error("--seeds must look like A-B")
+    if not 0 <= lo <= hi:
+        parser.error("--seeds needs 0 <= A <= B")
+    args.seed_list = list(range(lo, hi + 1))
+    return args
+
+
+def _git(*argv):
+    subprocess.run(["git", "-C", ROOT, *argv], check=True, capture_output=True, text=True)
+
+
+def _run(tree, workload, seed):
+    """One benchmark run in ``tree``; returns its last-line JSON result."""
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", "30", "--trace", "0"],
+        cwd=tree, capture_output=True, text=True,
+    )
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise RuntimeError(f"bench/run.py failed in {tree} (seed {seed}):\n{proc.stderr}")
+    return json.loads(lines[-1])
+
+
+def _quartiles(values):
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, median, q3
+
+
+def main(argv=None) -> int:
+    args = _parse(sys.argv[1:] if argv is None else argv)
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        metrics = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+    parent = tempfile.mkdtemp(prefix="bench-parent-")
+    os.rmdir(parent)  # git worktree add creates the directory itself
+    _git("worktree", "add", "--detach", parent, args.parent)
+    runs = []
+    try:
+        for i, seed in enumerate(args.seed_list):
+            order = [("before", parent), ("after", ROOT)]
+            for side, tree in order if i % 2 == 0 else order[::-1]:
+                result = _run(tree, args.workload, seed)
+                row = {"seed": seed, "side": side}
+                row.update({m: round(result["metrics"][m]["value"], 4) for m in metrics})
+                row.update(correct=result["correct"], failed=result["failed"])
+                runs.append(row)
+                print(json.dumps(row), flush=True)
+    finally:
+        _git("worktree", "remove", "--force", parent)
+
+    summary = {}
+    print(f"\n{args.workload}, {len(args.seed_list)} pairs, parent {args.parent}")
+    for m, better in metrics.items():
+        side = {s: [r[m] for r in runs if r["side"] == s] for s in ("before", "after")}
+        wins = sum(
+            (a < b) if better == "lower" else (a > b)
+            for a, b in zip(side["after"], side["before"])
+        )
+        entry = {}
+        for s in ("before", "after"):
+            q1, med, q3 = _quartiles(side[s])
+            entry[s] = {"q1": round(q1, 4), "median": round(med, 4), "q3": round(q3, 4)}
+            print(f"  {m:<12} {s:<6} median {med:.4f}  quartiles {q1:.4f} .. {q3:.4f}")
+        entry[f"after_{better}_in_pairs"] = f"{wins}/{len(side['after'])}"
+        print(f"  {m:<12} the working tree is {better} in {wins} of {len(side['after'])} pairs")
+        summary[m] = entry
+    bad = [r for r in runs if not r["correct"] or r["failed"]]
+    if bad:
+        print(f"  {len(bad)} run(s) incorrect or with failed operations")
+    print(json.dumps({"summary": summary, "runs": runs}))
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -31,6 +31,7 @@ from .errors import (
     EmptyDataError,
     ParseError,
     SchemaError,
+    SweepError,
 )
 from .ga import GaConfig, SubsetRecord, component_summaries, evolve, fitness, report_components
 from .mixture import em_fit
@@ -467,6 +468,9 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except CountmixError as exc:
         print(f"countmix: computation failed: {exc}", file=sys.stderr)
+        if isinstance(exc, SweepError):
+            for G, why in sorted(exc.diagnostics.items()):
+                print(f"countmix:   G={G}: {why}", file=sys.stderr)
         return EXIT_COMPUTE
     except OSError as exc:
         print(f"countmix: i/o failure: {exc}", file=sys.stderr)

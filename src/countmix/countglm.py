@@ -2,11 +2,14 @@
 
 Both families use the log link, mu = exp(X beta).  The NB-2 density adds a
 dispersion alpha > 0 with variance mu * (1 + alpha * mu); alpha -> 0 recovers
-the Poisson model.  One damped Newton solver fits both families: over beta
-for Poisson, and over the joint vector (beta, log alpha) for NB-2, with the
-analytic gradient and information built from the per-row derivatives in
-``_row_derivs``.  All operations are pure functions of their inputs, so
-multiple fits may run concurrently on shared read-only datasets.
+the Poisson model.  One damped Newton driver, ``_newton``, fits a block of
+C weighted regressions of one family at once: over beta for Poisson, and
+over the joint vector (beta, log alpha) for NB-2, with the analytic gradient
+and information built from the per-row derivatives in ``_row_derivs``.
+Each fit in the block keeps its own step halving and stopping rule.
+:func:`fit_poisson` and :func:`fit_nb2` are blocks of one; the mixture
+M-step fits every component of every EM restart in one block.  All
+operations are pure functions of their inputs.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dgeqp3 as _GEQP3
 from scipy.special import digamma, gammaln, zeta
 
 from .data import Dataset
@@ -40,6 +43,8 @@ WEIGHT_FLOOR = 1e-10      # rows below this weight are excluded from the rank ch
 _LARGE_THETA = 1e6
 # the dispersion search box on the s = log(alpha) scale
 _S_LO, _S_HI = float(np.log(ALPHA_MIN)), float(np.log(ALPHA_MAX))
+# floating-point warnings that the density and derivative formulas handle
+_QUIET = {"over": "ignore", "divide": "ignore", "invalid": "ignore"}
 
 
 @dataclass(frozen=True)
@@ -98,12 +103,30 @@ def _weighted_sum(w: np.ndarray, rows: np.ndarray) -> float:
     return float(contrib.sum())
 
 
+def _log_density(family: str, eta, alpha, d: Dataset) -> np.ndarray:
+    """Log-densities at linear predictors eta (n, or C x n for C fits).
+
+    ``alpha`` is a scalar, or a (C, 1) column for a block; Poisson ignores
+    it.  Callers run it under ``np.errstate(**_QUIET)``: overflow to inf
+    and the divisions in the NB-2 ratio are handled by the formulas.
+    """
+    mu = np.exp(eta)
+    if family == POISSON:
+        return d.y * eta - mu - d.log_y_factorial
+    theta = 1.0 / alpha
+    amu = alpha * mu
+    log1p_amu = np.log1p(amu)
+    # y * log(amu / (1 + amu)), written to stay finite as amu -> 0 or inf
+    ratio = np.where(amu > 1.0, -np.log1p(1.0 / amu), np.log(amu) - log1p_amu)
+    ylog = np.where(d.y > 0, d.y * ratio, 0.0)
+    return _polygamma_ratio(d.y, theta, -1) + ylog - theta * log1p_amu - d.log_y_factorial
+
+
 def poisson_logpmf(beta, d: Dataset) -> np.ndarray:
     """Per-row Poisson log-density with mu = exp(X beta)."""
     eta = _linear_predictor(beta, d)
-    with np.errstate(over="ignore"):
-        mu = np.exp(eta)
-    return d.y * eta - mu - d.log_y_factorial
+    with np.errstate(**_QUIET):
+        return _log_density(POISSON, eta, 0.0, d)
 
 
 def poisson_loglik(beta, d: Dataset, w=None) -> float:
@@ -129,20 +152,26 @@ _POLYGAMMA = {
 }
 
 
-def _polygamma_ratio(y: np.ndarray, theta: float, order: int) -> np.ndarray:
+def _polygamma_ratio(y: np.ndarray, theta, order: int) -> np.ndarray:
     """F(y + theta) - F(theta) for integer counts y.
 
     F is log Gamma for ``order=-1``, digamma for 0 and trigamma for 1.
+    ``theta`` is a scalar, or a (C, 1) column giving a (C, n) result.
     Above ``_LARGE_THETA`` the direct difference cancels catastrophically,
     so the rising sum is used instead.
     """
     f, term = _POLYGAMMA[order]
-    if theta <= _LARGE_THETA:
-        return f(np.asarray(y, dtype=float) + theta) - f(theta)
-    yi = np.asarray(y, dtype=np.int64)
-    ymax = int(yi.max()) if yi.size else 0
-    steps = np.concatenate(([0.0], np.cumsum(term(theta + np.arange(ymax, dtype=float)))))
-    return steps[yi]
+    out = f(np.asarray(y, dtype=float) + theta) - f(theta)
+    big = np.ravel(theta) > _LARGE_THETA
+    if big.any():
+        yi = np.asarray(y, dtype=np.int64)
+        ymax = int(yi.max()) if yi.size else 0
+        rows = out.reshape(big.size, -1)  # a view: one row per theta
+        for c in np.flatnonzero(big):
+            th = float(np.ravel(theta)[c])
+            steps = np.concatenate(([0.0], np.cumsum(term(th + np.arange(ymax, dtype=float)))))
+            rows[c] = steps[yi]
+    return out
 
 
 def nb2_logpmf(beta, alpha: float, d: Dataset) -> np.ndarray:
@@ -150,16 +179,8 @@ def nb2_logpmf(beta, alpha: float, d: Dataset) -> np.ndarray:
     if not np.isfinite(alpha) or alpha <= 0.0:
         raise DomainError(f"dispersion alpha must be positive, got {alpha}")
     eta = _linear_predictor(beta, d)
-    theta = 1.0 / alpha
-    with np.errstate(over="ignore"):
-        mu = np.exp(eta)
-        amu = alpha * mu
-    log1p_amu = np.log1p(amu)
-    # y * log(amu / (1 + amu)), written to stay finite as amu -> 0 or inf
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(amu > 1.0, -np.log1p(1.0 / amu), np.log(amu) - log1p_amu)
-        ylog = np.where(d.y > 0, d.y * ratio, 0.0)
-    out = _polygamma_ratio(d.y, theta, -1) + ylog - theta * log1p_amu - d.log_y_factorial
+    with np.errstate(**_QUIET):
+        out = _log_density(NB2, eta, alpha, d)
     bad = np.isnan(out)
     if bad.any():
         row = int(np.flatnonzero(bad)[0])
@@ -167,13 +188,41 @@ def nb2_logpmf(beta, alpha: float, d: Dataset) -> np.ndarray:
     return out
 
 
+def _density_rows(family: str, beta: np.ndarray, alpha, d: Dataset):
+    """Log-densities of C parameter rows at once, as a (C, n) array.
+
+    ``beta`` is (C, k) and ``alpha`` a (C, 1) column (ignored for
+    Poisson).  Also returns a (C,) flag of the rows whose linear predictor
+    is not finite or whose NB-2 density is NaN, where the one-row
+    functions raise :class:`NumericOverflowError`.  Callers run it under
+    ``np.errstate(**_QUIET)``.
+    """
+    eta = beta @ d.X.T
+    out = _log_density(family, eta, alpha, d)
+    bad = ~np.isfinite(eta).all(axis=1)
+    if family == NB2:
+        bad |= np.isnan(out).any(axis=1)
+    return out, bad
+
+
+def _overflow_error(family: str, beta, alpha, d: Dataset) -> NumericOverflowError:
+    """The error that the density of one flagged parameter row raises."""
+    try:
+        poisson_logpmf(beta, d) if family == POISSON else nb2_logpmf(beta, alpha, d)
+    except NumericOverflowError as exc:
+        return exc
+    return NumericOverflowError("non-finite log-density")
+
+
 def nb2_loglik(beta, alpha: float, d: Dataset, w=None) -> float:
     """Weighted NB-2 log-likelihood at (beta, alpha)."""
     return _weighted_sum(_weights(d, w), nb2_logpmf(beta, alpha, d))
 
 
-def _row_derivs(family: str, y: np.ndarray, mu: np.ndarray, alpha: float):
+def _row_derivs(family: str, y: np.ndarray, mu: np.ndarray, alpha):
     """Per-row derivatives of the log-density in eta = x'beta and s = log(alpha).
+
+    ``mu`` is (n,) with a scalar ``alpha``, or (C, n) with a (C, 1) column.
 
     Returns ``(u, i_ee, v, i_es, i_ss)``: the eta score u, the eta-eta
     information weight i_ee and, for NB-2, the s score v and the eta-s and
@@ -213,158 +262,258 @@ def check_design_rank(d: Dataset, w=None) -> None:
     """Raise :class:`SingularDesignError` if sqrt(w) X is rank deficient.
 
     Rows with weight below ``WEIGHT_FLOOR`` are excluded. The error names
-    the columns that a pivoted QR identifies as linearly dependent.
+    the columns that a pivoted QR identifies as linearly dependent.  The
+    intercept is always the first pivot: the other columns are taken
+    orthogonal to it and factored by LAPACK ``dgeqp3``, which is what
+    ``dgeqp3`` does with a fixed leading column.  So a constant covariate
+    is the column named, never the intercept.
     """
-    w = _weights(d, w)
+    _check_rank(d, _weights(d, w))
+
+
+def _check_rank(d: Dataset, w: np.ndarray) -> None:
+    """:func:`check_design_rank` for pre-validated weights."""
     active = w >= WEIGHT_FLOOR
     k = d.p + 1
-    if int(active.sum()) < k:
-        raise SingularDesignError(
-            f"only {int(active.sum())} effectively weighted rows for {k} coefficients"
-        )
-    A = d.X[active] * np.sqrt(w[active])[:, None]
-    _, R, piv = scipy.linalg.qr(A, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(R))
-    tol = (diag.max() * max(A.shape) * np.finfo(float).eps) if diag.size else 0.0
-    rank = int((diag > tol).sum())
-    if rank < k:
-        dep = sorted(int(j) for j in piv[rank:])
-        labels = tuple("intercept" if j == 0 else d.names[j - 1] for j in dep)
-        raise SingularDesignError(
-            f"design is rank deficient; dependent column(s): {', '.join(labels)}",
-            columns=labels,
-        )
-
-
-def _poisson_ll(beta, d, w):
-    # w is pre-validated by the fit entry point; skip revalidation in hot loops
-    try:
-        return _weighted_sum(w, poisson_logpmf(beta, d))
-    except NumericOverflowError:
-        return -np.inf
-
-
-def _nb2_ll(x, d, w):
-    # x = (beta, log alpha); w pre-validated as for _poisson_ll
-    try:
-        return _weighted_sum(w, nb2_logpmf(x[:-1], float(np.exp(x[-1])), d))
-    except NumericOverflowError:
-        return -np.inf
-
-
-def _poisson_derivs(beta, d, w):
-    """Gradient and information of the weighted Poisson log-likelihood."""
-    with np.errstate(over="ignore"):
-        mu = np.exp(d.X @ beta)
-    u, i_ee, _, _, _ = _row_derivs(POISSON, d.y, mu, 0.0)
-    grad = d.X.T @ np.where(w > 0.0, w * u, 0.0)
-    wmu = np.where(w > 0.0, w * i_ee, 0.0)
-    return grad, d.X.T @ (d.X * wmu[:, None])
-
-
-def _nb2_derivs(x, d, w):
-    """Gradient and information of the weighted NB-2 log-likelihood over (beta, s)."""
-    k = x.size - 1
-    with np.errstate(over="ignore"):
-        mu = np.exp(d.X @ x[:k])
-    u, i_ee, v, i_es, i_ss = (
-        np.where(w > 0.0, w * rows, 0.0)
-        for rows in _row_derivs(NB2, d.y, mu, float(np.exp(x[k])))
+    n_active = int(np.count_nonzero(active))
+    if n_active < k:
+        raise SingularDesignError(f"only {n_active} effectively weighted rows for {k} coefficients")
+    if k == 1:
+        return  # sqrt(w) alone has rank 1
+    if n_active == w.size:
+        a0, A = np.sqrt(w), d.X[:, 1:]
+    else:
+        a0, A = np.sqrt(w[active]), d.X[active, 1:]
+    A = A * a0[:, None]
+    s00 = float(a0 @ a0)
+    r00 = np.sqrt(s00)
+    rest = A - a0[:, None] * ((a0 @ A) / s00)
+    # the workspace query scipy.linalg.qr makes, then the factorization
+    lwork = int(_GEQP3(rest, lwork=-1)[3][0])
+    qr, jpvt = _GEQP3(rest, lwork=lwork, overwrite_a=1)[:2]
+    diag = np.abs(qr.diagonal())
+    tol = max(r00, float(diag.max())) * max(n_active, k) * np.finfo(float).eps
+    if r00 > tol and diag.min() > tol:
+        return
+    # jpvt is 1-based among the columns after the intercept, so it indexes X
+    dep = ([0] if r00 <= tol else []) + sorted(int(j) for j in jpvt[diag <= tol])
+    labels = tuple("intercept" if j == 0 else d.names[j - 1] for j in dep)
+    raise SingularDesignError(
+        f"design is rank deficient; dependent column(s): {', '.join(labels)}",
+        columns=labels,
     )
-    info = np.empty((k + 1, k + 1))
-    info[:k, :k] = d.X.T @ (d.X * i_ee[:, None])
-    info[:k, k] = info[k, :k] = d.X.T @ i_es
-    info[k, k] = i_ss.sum()
-    return np.append(d.X.T @ u, v.sum()), info
 
 
-_FAMILY_TERMS = {POISSON: (_poisson_derivs, _poisson_ll), NB2: (_nb2_derivs, _nb2_ll)}
+def _loglik(family: str, x: np.ndarray, d: Dataset, W: np.ndarray) -> np.ndarray:
+    """Weighted log-likelihoods of C parameter rows (NB-2 rows end in log alpha).
+
+    ``W`` is a (C, n) block of pre-validated weights.  A row whose
+    density overflows scores -inf.  Runs under :func:`_newton`'s
+    ``np.errstate(**_QUIET)``, as does :func:`_derivs`.
+    """
+    k = d.X.shape[1]
+    alpha = np.exp(x[:, k:]) if family == NB2 else None
+    out, bad = _density_rows(family, x[:, :k], alpha, d)
+    # rows of weight 0 contribute 0, also where their density is -inf
+    ll = np.multiply(W, out, out=np.zeros_like(out), where=W > 0.0).sum(axis=1)
+    ll[bad] = -np.inf
+    return ll
 
 
-def _alpha_side(alpha: float) -> int:
+def _derivs(family: str, x: np.ndarray, d: Dataset, W: np.ndarray):
+    """Gradients (C, m) and information matrices (C, m, m) of C weighted log-likelihoods.
+
+    Each row of ``x`` is beta, then s = log(alpha) for NB-2.  The beta-beta
+    blocks are one stacked product X' diag(w_c i_c) X, so each fit's
+    information is computed exactly as for a fit on its own.
+    """
+    C, m = x.shape
+    k = d.X.shape[1]
+    mu = np.exp(x[:, :k] @ d.X.T)
+    alpha = np.exp(x[:, k:]) if family == NB2 else 0.0
+    rows = _row_derivs(family, d.y, mu, alpha)
+    on = W > 0.0
+
+    def weighted(r):
+        return np.where(on, W * r, 0.0)
+
+    grad = weighted(rows[0]) @ d.X
+    beta_info = d.X.T @ (d.X * weighted(rows[1])[:, :, None])
+    if family == POISSON:
+        return grad, beta_info
+    info = np.empty((C, m, m))
+    info[:, :k, :k] = beta_info
+    info[:, :k, k] = info[:, k, :k] = weighted(rows[3]) @ d.X
+    info[:, k, k] = weighted(rows[4]).sum(axis=1)
+    return np.column_stack([grad, weighted(rows[2]).sum(axis=1)]), info
+
+
+def _alpha_side(alpha):
     """-1 on the lower dispersion bound, +1 on the upper, 0 strictly inside."""
-    if alpha <= ALPHA_MIN * (1.0 + 1e-9):
-        return -1
-    return 1 if alpha >= ALPHA_MAX * (1.0 - 1e-9) else 0
+    return np.where(
+        alpha <= ALPHA_MIN * (1.0 + 1e-9), -1, np.where(alpha >= ALPHA_MAX * (1.0 - 1e-9), 1, 0)
+    )
 
 
-def _solve(a, b):
+def _solve1(a, b):
     try:
         return np.linalg.solve(a, b)
     except np.linalg.LinAlgError:
         return np.linalg.lstsq(a, b, rcond=None)[0]
 
 
-def _is_pd(a) -> bool:
+def _solve(a, b):
+    """Solve a stack of systems a x = b; a singular one falls back to least squares."""
+    try:
+        return np.linalg.solve(a, b[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        return np.array([_solve1(ai, bi) for ai, bi in zip(a, b)]).reshape(b.shape)
+
+
+def _is_pd(a) -> np.ndarray:
+    """Positive definiteness of each matrix of a stack.
+
+    One stacked Cholesky; only if it raises is each matrix tried alone.
+    """
     try:
         np.linalg.cholesky(a)
+        return np.ones(len(a), dtype=bool)
     except np.linalg.LinAlgError:
-        return False
-    return True
+        pass
+    out = np.ones(len(a), dtype=bool)
+    for i, ai in enumerate(a):
+        try:
+            np.linalg.cholesky(ai)
+        except np.linalg.LinAlgError:
+            out[i] = False
+    return out
 
 
-def _newton(family, x, d, w, tol, gtol, max_iter):
-    """Damped Newton ascent on the weighted log-likelihood of one family.
+def _newton(family, x, d, W, tol, gtol, max_iter):
+    """Damped Newton ascent on C weighted log-likelihoods of one family at once.
 
-    Poisson steps over beta; NB-2 over (beta, s) with s = log(alpha) last.
-    s stays in [log ALPHA_MIN, log ALPHA_MAX] and is frozen while its
-    gradient points out of that box; its step is clipped to +-5, and where
-    the joint information is not positive definite s takes a bounded
-    uphill step of 0.5 beside beta's own Newton step.  Every step is
-    halved until the log-likelihood does not decrease.  Convergence needs
-    a gradient max-norm below ``gtol`` over the free coordinates and a
-    relative logL change below ``tol``; a fit whose step no longer
-    improves logL has converged if its Newton decrement g' I^-1 g / 2 is
-    at most ``tol * (1 + |logL|)``.
-    Returns (x, logL, converged, iterations, information at the returned x).
+    Row c of ``x`` (C, m) is fitted to weight row c of ``W`` (C, n): beta
+    for Poisson, (beta, s) with s = log(alpha) last for NB-2.  Every row
+    follows its own course, as if fitted alone: its own step halving,
+    dispersion freeze, fallback step and stopping test.  s stays in
+    [log ALPHA_MIN, log ALPHA_MAX] and is frozen while its gradient points
+    out of that box; its step is clipped to +-5, and where the joint
+    information is not positive definite s takes a bounded uphill step of
+    0.5 beside beta's own Newton step.  Every step is halved until the
+    log-likelihood does not decrease.  Convergence needs a gradient
+    max-norm below ``gtol`` over the free coordinates and a relative logL
+    change below ``tol``; a fit whose step no longer improves logL has
+    converged if its Newton decrement g' I^-1 g / 2 is at most
+    ``tol * (1 + |logL|)``.  A row leaves the block when it converges or
+    stalls; the rows still moving after ``max_iter`` steps stop there.
+    Returns per row (x, logL, converged, iterations, information at the
+    returned x); a row's iterations are the steps it took, which is the
+    outer iteration at which it left the block.
     """
-    derivs, loglik = _FAMILY_TERMS[family]
-    log_alpha = family == NB2
-    ll = loglik(x, d, w)
-    prev_ll = None
-    converged = False
-    info = None
-    iterations = 0
-    for _ in range(max_iter):
-        grad, info = derivs(x, d, w)
-        k = grad.size - 1 if log_alpha else grad.size  # beta coordinates
-        frozen = log_alpha and _alpha_side(float(np.exp(x[k]))) * grad[k] > 0.0
-        gfree = grad[:k] if frozen else grad
-        small_grad = np.max(np.abs(gfree)) < gtol
-        small_change = prev_ll is None or abs(ll - prev_ll) <= tol * (1.0 + abs(ll))
-        if small_grad and small_change:
-            converged = True
-            break
-        newton = not log_alpha or frozen or _is_pd(info)  # a Newton step on the free part
-        if newton and not frozen:
-            step = _solve(info, grad)
+    with np.errstate(**_QUIET):  # overflow to inf is scored, not warned
+        x = np.array(x, dtype=float)
+        C, m = x.shape
+        nb2 = family == NB2
+        k = m - 1 if nb2 else m  # beta coordinates
+        ll = _loglik(family, x, d, W)
+        prev_ll = np.full(C, np.nan)
+        converged = np.zeros(C, dtype=bool)
+        iterations = np.zeros(C, dtype=np.int64)
+        info = None
+        live = np.arange(C)
+        for it in range(max_iter):
+            if live.size == C:  # no row has left yet: work on the arrays themselves
+                xl, Wl, lll, pll = x, W, ll, prev_ll
+            else:
+                xl, Wl, lll, pll = x[live], W[live], ll[live], prev_ll[live]
+            grad, inf = _derivs(family, xl, d, Wl)
+            if live.size == C:
+                info = inf
+            else:
+                info[live] = inf
+            gfree, frozen = grad, None
+            if nb2:
+                frozen = _alpha_side(np.exp(xl[:, k])) * grad[:, k] > 0.0
+                gfree = grad.copy()
+                gfree[frozen, k] = 0.0
+            done = np.abs(gfree).max(axis=1) < gtol
+            any_done = done.any()
+            if it and any_done:
+                done &= np.abs(lll - pll) <= tol * (1.0 + np.abs(lll))
+                any_done = done.any()
+            if any_done:
+                converged[live[done]] = True
+                iterations[live[done]] = it
+                go = ~done
+                live, xl, Wl, lll = live[go], xl[go], Wl[go], lll[go]
+                grad, inf, gfree = grad[go], inf[go], gfree[go]
+                frozen = None if frozen is None else frozen[go]
+                if not live.size:
+                    break
+            # a Newton step on the free part, or beta's step beside a bounded s move
+            if nb2:
+                newton = frozen | _is_pd(inf)
+                full = newton & ~frozen
+            if not nb2 or full.all():
+                step = _solve(inf, grad)
+            else:
+                step = np.empty_like(xl)
+                if full.any():
+                    step[full] = _solve(inf[full], grad[full])
+                part = ~full
+                step[part, :k] = _solve(inf[part][:, :k, :k], grad[part, :k])
+                step[part, k] = np.where(frozen[part], 0.0, 0.5 * np.sign(grad[part, k]))
+            if nb2:
+                s_step = np.clip(step[:, k], -5.0, 5.0)
+            # halve each row's step until its logL does not decrease; pos holds
+            # the positions in the live arrays still searching (None: all)
+            pos, xs, ss, Ws, ls = None, xl, step, Wl, lll
+            t = 1.0
+            for _ in range(MAX_HALVINGS + 1):
+                trial = xs + t * ss
+                if nb2:
+                    s_t = t * (s_step if pos is None else s_step[pos])
+                    trial[:, k] = np.clip(xs[:, k] + s_t, _S_LO, _S_HI)
+                trial_ll = _loglik(family, trial, d, Ws)
+                up = trial_ll >= ls
+                if up.all():
+                    if pos is None and live.size == C:  # every row moved
+                        x, ll, prev_ll = trial, trial_ll, ll
+                    else:
+                        hit = live if pos is None else live[pos]
+                        prev_ll[hit] = ll[hit]
+                        x[hit], ll[hit] = trial, trial_ll
+                    break
+                if up.any():
+                    if pos is None:
+                        pos = np.arange(live.size)
+                    hit = live[pos[up]]
+                    prev_ll[hit] = ll[hit]
+                    x[hit], ll[hit] = trial[up], trial_ll[up]
+                    no = ~up
+                    pos, xs, ss, Ws, ls = pos[no], xs[no], ss[no], Ws[no], ls[no]
+                t *= 0.5
+            else:
+                # no ascent left at this precision: an optimum if the Newton
+                # decrement, the gain the quadratic model predicts, is negligible
+                if pos is None:
+                    pos = np.arange(live.size)
+                decrement = 0.5 * np.einsum("ij,ij->i", gfree[pos], step[pos])
+                ok = decrement <= tol * (1.0 + np.abs(ls))
+                converged[live[pos]] = ok & newton[pos] if nb2 else ok
+                iterations[live[pos]] = it
+                live = np.delete(live, pos)
+                if not live.size:
+                    break
         else:
-            s_move = 0.0 if frozen else 0.5 * np.sign(grad[k])
-            step = np.append(_solve(info[:k, :k], grad[:k]), s_move)
-        s_step = min(max(step[k], -5.0), 5.0) if log_alpha else 0.0
-        t = 1.0
-        cand, cand_ll = x, ll
-        for _ in range(MAX_HALVINGS + 1):
-            trial = x + t * step
-            if log_alpha:
-                trial[k] = min(max(x[k] + t * s_step, _S_LO), _S_HI)
-            trial_ll = loglik(trial, d, w)
-            if trial_ll >= ll:
-                cand, cand_ll = trial, trial_ll
-                break
-            t *= 0.5
-        if cand is x:
-            # no ascent left at this precision: an optimum if the Newton
-            # decrement, the gain the quadratic model predicts, is negligible
-            decrement = 0.5 * float(gfree @ step[: gfree.size])
-            converged = newton and decrement <= tol * (1.0 + abs(ll))
-            break
-        prev_ll = ll
-        x, ll = cand, cand_ll
-        iterations += 1
-    else:
-        info = derivs(x, d, w)[1]  # the cap ended the loop: x moved since the last check
-    return x, ll, converged, iterations, info
+            iterations[live] = max_iter
+            if live.size:  # the cap ended the loop: these rows moved since their last check
+                last = _derivs(family, x[live], d, W[live])[1]
+                if info is None:
+                    info = last
+                else:
+                    info[live] = last
+        return x, ll, converged, iterations, info
 
 
 def _se_from_info(info: np.ndarray) -> np.ndarray:
@@ -383,13 +532,41 @@ def _init_beta(init, d: Dataset) -> np.ndarray:
     return beta
 
 
-def _poisson_start(d: Dataset, w: np.ndarray) -> np.ndarray:
-    """Intercept at the log weighted mean of y, other coefficients zero."""
-    wsum = w.sum()
-    ybar = float(w @ d.y) / wsum if wsum > 0 else 1.0
-    beta = np.zeros(d.p + 1)
-    beta[0] = np.log(max(ybar, 1e-8))
+def _poisson_start(d: Dataset, W: np.ndarray) -> np.ndarray:
+    """Per weight row: intercept at the log weighted mean of y, other coefficients zero."""
+    wsum = W.sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ybar = np.where(wsum > 0, (W @ d.y) / wsum, 1.0)
+    beta = np.zeros((W.shape[0], d.p + 1))
+    beta[:, 0] = np.log(np.maximum(ybar, 1e-8))
     return beta
+
+
+def _alpha_moment_estimate(beta, d, W):
+    """Per weight row: the moment estimate of alpha at beta, in [1e-4, ALPHA_MAX]."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        mu = np.exp(beta @ d.X.T)
+        num = np.where(W > 0.0, W * ((d.y - mu) ** 2 - d.y), 0.0).sum(axis=1)
+        den = np.where(W > 0.0, W * mu**2, 0.0).sum(axis=1)
+        ok = (den > 0) & np.isfinite(num)
+        return np.where(ok, np.clip(num / den, 1e-4, ALPHA_MAX), 1.0)
+
+
+def _fit_block(
+    family, d, W, init=None, tol=DEFAULT_TOL, gtol=DEFAULT_GTOL, max_iter=DEFAULT_MAX_ITER
+):
+    """Fit C weighted regressions of one family in one :func:`_newton` block.
+
+    ``W`` is a (C, n) block of validated weights; ``init`` holds (C, m)
+    starting rows in the driver's layout, or is None for cold starts (for
+    NB-2, a Poisson block fit and a moment estimate of alpha).
+    """
+    if init is None:
+        init = _poisson_start(d, W)
+        if family == NB2:
+            beta = _newton(POISSON, init, d, W, tol, gtol, max_iter)[0]
+            init = np.column_stack([beta, np.log(_alpha_moment_estimate(beta, d, W))])
+    return _newton(family, init, d, W, tol, gtol, max_iter)
 
 
 def fit_poisson(
@@ -408,27 +585,21 @@ def fit_poisson(
     returns the best iterate with ``converged=False`` rather than raising.
     """
     w = _weights(d, w)
-    check_design_rank(d, w)
-    beta = _init_beta(init, d) if init is not None else _poisson_start(d, w)
-    beta, ll, converged, iterations, info = _newton(POISSON, beta, d, w, tol, gtol, max_iter)
+    _check_rank(d, w)
+    if init is not None:
+        init = _init_beta(init, d)[None]
+    x, ll, converged, iterations, info = _fit_block(
+        POISSON, d, w[None], init, tol, gtol, max_iter
+    )
     return GlmFit(
         family=POISSON,
-        beta=beta,
+        beta=x[0],
         alpha=0.0,
-        se=_se_from_info(info),
-        logL=ll,
-        converged=converged,
-        iterations=iterations,
+        se=_se_from_info(info[0]),
+        logL=float(ll[0]),
+        converged=bool(converged[0]),
+        iterations=int(iterations[0]),
     )
-
-
-def _alpha_moment_estimate(beta, d, w):
-    mu = np.exp(d.X @ beta)
-    num = _weighted_sum(w, (d.y - mu) ** 2 - d.y)
-    den = _weighted_sum(w, mu**2)
-    if den <= 0 or not np.isfinite(num):
-        return 1.0
-    return float(np.clip(num / den, 1e-4, ALPHA_MAX))
 
 
 def fit_nb2(
@@ -452,27 +623,22 @@ def fit_nb2(
     w = _weights(d, w)
     if d.n < d.p + 2:
         raise DimensionError(f"NB-2 needs n >= p + 2 ({d.n} < {d.p + 2})")
-    check_design_rank(d, w)
+    _check_rank(d, w)
     if init is not None:
         beta0, alpha0 = init
-        beta = _init_beta(beta0, d)
-        alpha = float(np.clip(alpha0, ALPHA_MIN, ALPHA_MAX))
-    else:
-        beta = _newton(POISSON, _poisson_start(d, w), d, w, tol, gtol, max_iter)[0]
-        alpha = _alpha_moment_estimate(beta, d, w)
-    x, ll, converged, iterations, info = _newton(
-        NB2, np.append(beta, np.log(alpha)), d, w, tol, gtol, max_iter
-    )
-    alpha = float(np.exp(x[-1]))
+        s0 = np.log(np.clip(alpha0, ALPHA_MIN, ALPHA_MAX))
+        init = np.append(_init_beta(beta0, d), s0)[None]
+    x, ll, converged, iterations, info = _fit_block(NB2, d, w[None], init, tol, gtol, max_iter)
+    alpha = float(np.exp(x[0, -1]))
     return GlmFit(
         family=NB2,
-        beta=x[:-1],
+        beta=x[0, :-1],
         alpha=alpha,
-        se=_se_from_info(info)[:-1],
-        logL=ll,
-        converged=converged,
-        iterations=iterations,
-        alpha_pinned=_alpha_side(alpha) != 0,
+        se=_se_from_info(info[0])[:-1],
+        logL=float(ll[0]),
+        converged=bool(converged[0]),
+        iterations=int(iterations[0]),
+        alpha_pinned=bool(_alpha_side(alpha) != 0),
     )
 
 

@@ -3,6 +3,9 @@
 The reported log-likelihood is always the observed-data mixture
 log-likelihood sum_i log sum_g pi_g f_g(y_i | x_i), evaluated through
 log-sum-exp; the complete-data form appears only implicitly inside EM.
+:func:`em_fit` runs its restarts in lock-step: every EM iteration fits
+all (restart, component) refits in one block of the shared Newton driver
+in ``countglm`` and takes one posterior pass over every running restart.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from . import countglm
-from .countglm import NB2, POISSON, validate_family
+from .countglm import ALPHA_MAX, ALPHA_MIN, NB2, POISSON, validate_family
 from .data import Dataset
 from .errors import (
     ComponentCollapseError,
@@ -100,24 +103,33 @@ def log_density_matrix(components, d: Dataset, family: str) -> np.ndarray:
 
 
 def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
-    """Row-wise log sum_j exp(a_ij) for a 2-D float array.
+    """log sum_j exp(a_..j) over the last axis of a float array.
 
     Follows scipy.special.logsumexp (scipy >= 1.15) step for step, so the
     values match it, at a fraction of its per-call overhead: the row
     maximum's m ties are taken out of the shifted sum s, the result is
     log1p(s / m) + log(m) + max, and rows where that is not finite (all
-    -inf, or a +inf entry) fall back to log(sum(exp(a))).
+    -inf, or a +inf entry) fall back to log(sum(exp(a))).  The work runs
+    column by column, adding the G shifted exponentials left to right as
+    numpy's reduction over a short last axis does.
     """
+    cols = [a[..., j] for j in range(a.shape[-1])]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        amax = a.max(axis=1, keepdims=True)
-        at_max = a == amax
-        m = at_max.sum(axis=1, keepdims=True, dtype=a.dtype)
-        s = np.exp(np.where(at_max, -np.inf, a) - amax).sum(axis=1, keepdims=True)
+        amax = cols[0]
+        for c in cols[1:]:
+            amax = np.maximum(amax, c)
+        m = np.zeros(amax.shape)
+        s = None
+        for c in cols:
+            at_max = c == amax
+            m += at_max
+            e = np.exp(np.where(at_max, -np.inf, c) - amax)
+            s = e if s is None else s + e
         s = np.where(s == 0, s, s / m)
-        out = (np.log1p(s) + np.log(m) + amax)[:, 0]
+        out = np.log1p(s) + np.log(m) + amax
         bad = ~np.isfinite(out)
         if bad.any():
-            out[bad] = np.log(np.exp(a[bad]).sum(axis=1))
+            out[bad] = np.log(np.exp(a[bad]).sum(axis=-1))
     return out
 
 
@@ -125,24 +137,29 @@ def _posterior(logf: np.ndarray, pis: np.ndarray, warn: bool = True):
     """Row normalizers log sum_g pi_g f_ig and responsibilities r_ig.
 
     One log-sum-exp gives both the observed-data log-likelihood (the sum
-    of the normalizers) and the posterior.  Rows whose density underflows
-    in every component get uniform responsibilities and, with ``warn``,
-    a RuntimeWarning.
+    of the normalizers) and the posterior.  ``logf`` is (n, G) with
+    ``pis`` (G,), or a stack (R, n, G) with ``pis`` (R, G), whose rows
+    all go through one :func:`_logsumexp_rows` call.  Rows whose density
+    underflows in every component get uniform responsibilities and, with
+    ``warn``, one RuntimeWarning per affected (n, G) slice.
     """
-    logw = logf + np.log(pis)
+    logw = logf + np.log(pis)[..., None, :]
+    G = logw.shape[-1]
     norm = _logsumexp_rows(logw)
     degenerate = ~np.isfinite(norm)
     with np.errstate(invalid="ignore"):
-        resp = np.exp(logw - norm[:, None])
+        resp = np.exp(logw - norm[..., None])
     if degenerate.any():
         if warn:
-            warnings.warn(
-                f"{int(degenerate.sum())} row(s) had zero density under every "
-                "component; assigning uniform responsibilities",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-        resp[degenerate] = 1.0 / logf.shape[1]
+            for count in degenerate.reshape(-1, degenerate.shape[-1]).sum(axis=1):
+                if count:
+                    warnings.warn(
+                        f"{int(count)} row(s) had zero density under every "
+                        "component; assigning uniform responsibilities",
+                        RuntimeWarning,
+                        stacklevel=3,
+                    )
+        resp[degenerate] = 1.0 / G
     return norm, resp
 
 
@@ -163,10 +180,64 @@ def e_step(components, d: Dataset, family: str) -> np.ndarray:
     return _posterior(log_density_matrix(components, d, family), pis)[1]
 
 
+def _restart_failure(W: np.ndarray, d: Dataset):
+    """The error one restart's M-step raises on its (G, n) weight rows, or None.
+
+    Components are checked in order: an effective sample sum_i r_ig below
+    p+2 is a :class:`ComponentCollapseError`, a rank-deficient weighted
+    design a :class:`SingularDesignError`.
+    """
+    for g, w in enumerate(W):
+        mass = w.sum()
+        if mass < d.p + 2:
+            return ComponentCollapseError(
+                f"component {g}: effective sample {mass:.3f} < p+2={d.p + 2}"
+            )
+        try:
+            countglm._check_rank(d, w)
+        except SingularDesignError as exc:
+            return exc
+    return None
+
+
+def _m_step(resp: np.ndarray, d: Dataset, family: str, prev):
+    """One M-step for a stack of R restarts, all R*G refits in one Newton block.
+
+    ``resp`` is (R, n, G) with entries in [0, 1]; ``prev`` holds the
+    previous parameter rows (R*G, m) in the Newton driver's layout (beta,
+    then log alpha for NB-2), or None for cold starts.  Returns the
+    mixture weights (R, G), the new rows (R*G, m; NaN for a failed
+    restart) and per restart the error that discards it, or None.
+    """
+    R, n, G = resp.shape
+    pis = resp.sum(axis=1) / n  # the mean over rows
+    pis = pis / pis.sum(axis=1, keepdims=True)
+    W = np.clip(resp.transpose(0, 2, 1).reshape(R * G, n), 0.0, 1.0)
+    failures = [_restart_failure(W[r * G:(r + 1) * G], d) for r in range(R)]
+    cols = np.repeat([f is None for f in failures], G)
+    x = np.full((R * G, d.p + 1 + (family == NB2)), np.nan)
+    if cols.any():
+        init = None if prev is None else prev[cols]
+        x[cols] = countglm._fit_block(family, d, W[cols], init, max_iter=M_STEP_FIT_MAX_ITER)[0]
+    return pis, x, failures
+
+
+def _components(pis: np.ndarray, x: np.ndarray, family: str):
+    k = x.shape[1] - (family == NB2)
+    return tuple(
+        ComponentParams(
+            pi=float(pi), beta=row[:k], alpha=float(np.exp(row[k])) if family == NB2 else 0.0
+        )
+        for pi, row in zip(pis, x)
+    )
+
+
 def m_step(resp: np.ndarray, d: Dataset, family: str, prev=None):
     """Weighted refits given responsibilities; returns new components.
 
-    A component whose effective sample sum_i r_ig falls below p+2 raises
+    The G refits run as one block of the shared Newton driver, the R=1
+    case of the lock-step M-step in :func:`em_fit`.  A component whose
+    effective sample sum_i r_ig falls below p+2 raises
     :class:`ComponentCollapseError` (caught and handled by :func:`em_fit`).
     """
     validate_family(family)
@@ -176,27 +247,18 @@ def m_step(resp: np.ndarray, d: Dataset, family: str, prev=None):
     row_sums = resp.sum(axis=1)
     if np.max(np.abs(row_sums - 1.0)) > 1e-8:
         raise DomainError("responsibility rows must sum to 1")
-    G = resp.shape[1]
-    pis = resp.mean(axis=0)
-    pis = pis / pis.sum()
-    comps = []
-    for g in range(G):
-        w = resp[:, g]
-        if w.sum() < d.p + 2:
-            raise ComponentCollapseError(
-                f"component {g}: effective sample {w.sum():.3f} < p+2={d.p + 2}"
-            )
-        if family == POISSON:
-            init = prev[g].beta if prev is not None else None
-            fit = countglm.fit_poisson(d, w=w, init=init, max_iter=M_STEP_FIT_MAX_ITER)
-            comps.append(ComponentParams(pi=float(pis[g]), beta=fit.beta, alpha=0.0))
-        else:
-            init = (prev[g].beta, prev[g].alpha) if prev is not None else None
-            fit = countglm.fit_nb2(d, w=w, init=init, max_iter=M_STEP_FIT_MAX_ITER)
-            comps.append(
-                ComponentParams(pi=float(pis[g]), beta=fit.beta, alpha=fit.alpha)
-            )
-    return tuple(comps)
+    for w in resp.T:
+        countglm._weights(d, w)
+    if prev is not None:  # components to the Newton driver's rows
+        rows = np.array([countglm._init_beta(c.beta, d) for c in prev])
+        if family == NB2:
+            alphas = np.clip([c.alpha for c in prev], ALPHA_MIN, ALPHA_MAX)
+            rows = np.column_stack([rows, np.log(alphas)])
+        prev = rows
+    pis, x, failures = _m_step(resp[None], d, family, prev)
+    if failures[0] is not None:
+        raise failures[0]
+    return _components(pis[0], x, family)
 
 
 def _quantile_split(y: np.ndarray, G: int) -> np.ndarray:
@@ -264,35 +326,74 @@ def init_by_count_mixture(d: Dataset, G: int, seed=0) -> np.ndarray:
 
 
 def _run_em(d, family, resp0, tol, max_iter):
-    """One EM run from hard/soft initial responsibilities.
+    """Lock-step EM from an (R, n, G) stack of starting responsibilities.
 
-    Each iteration builds the log-density matrix once; the same posterior
-    pass yields the log-likelihood of the new parameters and the
-    responsibilities for the next M-step (or the returned model).
+    Each iteration makes one M-step over the R*G weight columns of the
+    restarts still running (one Newton block), one log-density build for
+    all their components, and one posterior pass whose normalizers give
+    each restart's log-likelihood and whose responsibilities feed its next
+    M-step.  A restart leaves the stack on its own when it converges, when
+    a component collapses (a weight below 1/(2n) or an effective sample
+    below p+2), when its weighted design is singular or when its density
+    overflows; its course is the one it would take alone.  Returns, per
+    restart, its :class:`MixtureModel` or the error that ended it.
     """
-    comps = None
-    resp = resp0
-    trace = []
-    converged = False
-    n = d.n
+    R, n, G = resp0.shape
+    k = d.p + 1
+    outcome: list = [None] * R
+    traces = [[] for _ in range(R)]
+    live, resp, x = np.arange(R), resp0, None
     for _ in range(max_iter):
-        comps = m_step(resp, d, family, prev=comps)
-        if min(c.pi for c in comps) < 1.0 / (2.0 * n):
-            raise ComponentCollapseError(
-                f"a mixture weight fell below 1/(2n) = {1.0 / (2.0 * n):.2e}"
-            )
-        pis = _check_components(comps, d)
-        norm, resp = _posterior(log_density_matrix(comps, d, family), pis)
-        ll = float(norm.sum())
-        converged = bool(trace) and abs(ll - trace[-1]) <= tol * (1.0 + abs(ll))
-        trace.append(ll)
-        if converged:
-            break
+        pis, x, ended = _m_step(resp, d, family, x)
+        for j, pi in enumerate(pis):
+            if ended[j] is None and pi.min() < 1.0 / (2.0 * n):
+                ended[j] = ComponentCollapseError(
+                    f"a mixture weight fell below 1/(2n) = {1.0 / (2.0 * n):.2e}"
+                )
+        if any(e is not None for e in ended):
+            for j, e in enumerate(ended):
+                outcome[live[j]] = e
+            keep = np.array([e is None for e in ended])
+            live, pis, x = live[keep], pis[keep], x[np.repeat(keep, G)]
+            if not live.size:
+                break
+        alpha = np.exp(x[:, k:]) if family == NB2 else None
+        with np.errstate(**countglm._QUIET):
+            logf, bad = countglm._density_rows(family, x[:, :k], alpha, d)
+        if bad.any():
+            for c in np.flatnonzero(bad)[::-1]:  # the first bad component names the error
+                a_c = None if alpha is None else float(alpha[c, 0])
+                outcome[live[c // G]] = countglm._overflow_error(family, x[c, :k], a_c, d)
+            keep = ~bad.reshape(-1, G).any(axis=1)
+            live, pis, x = live[keep], pis[keep], x[np.repeat(keep, G)]
+            logf = logf[np.repeat(keep, G)]
+            if not live.size:
+                break
+        norm, resp = _posterior(logf.reshape(-1, G, n).transpose(0, 2, 1), pis)
+        done = np.zeros(live.size, dtype=bool)
+        for j, ll in enumerate(norm.sum(axis=1).tolist()):
+            trace = traces[live[j]]
+            done[j] = bool(trace) and abs(ll - trace[-1]) <= tol * (1.0 + abs(ll))
+            trace.append(ll)
+            if done[j]:
+                rows = x[j * G:(j + 1) * G]
+                outcome[live[j]] = _model(family, pis[j], rows, resp[j], trace, True)
+        if done.any():
+            go = ~done
+            live, pis, resp, x = live[go], pis[go], resp[go], x[np.repeat(go, G)]
+            if not live.size:
+                break
+    for j, r in enumerate(live):  # stopped by max_iter
+        outcome[r] = _model(family, pis[j], x[j * G:(j + 1) * G], resp[j], traces[r], False)
+    return outcome
+
+
+def _model(family, pis, x, resp, trace, converged):
     return MixtureModel(
         family=family,
-        components=comps,
+        components=_components(pis, x, family),
         logL=trace[-1],
-        responsibilities=resp,
+        responsibilities=np.ascontiguousarray(resp),
         converged=converged,
         iterations=len(trace),
         loglik_trace=np.asarray(trace),
@@ -312,7 +413,10 @@ def em_fit(
 
     The first restart starts from :func:`init_by_count_mixture`; the rest
     perturb that hard assignment by redrawing each row's responsibilities
-    from Dirichlet(1 + one-hot initial group).  Restarts that collapse
+    from Dirichlet(1 + one-hot initial group).  All restarts run in
+    lock-step through :func:`_run_em`: one Newton block fits every
+    (restart, component) refit of an iteration, and each restart follows
+    the course it would follow alone.  Restarts that collapse
     (a weight below 1/(2n), an effective sample below p+2, or a singular
     weighted design) are discarded.  The best surviving restart by final
     log-likelihood wins, ties broken toward the lowest restart index.  If
@@ -334,23 +438,21 @@ def em_fit(
     root = _as_seedseq(seed)
     init_ss, *restart_ss = root.spawn(restarts + 1)
     base = init_by_count_mixture(d, G, seed=init_ss)
+    starts = [base]
+    for ss in restart_ss[: restarts - 1 if G > 1 else 0]:
+        draws = np.random.default_rng(ss).gamma(shape=1.0 + base)  # row-wise Dirichlet(1 + one-hot)
+        starts.append(draws / draws.sum(axis=1, keepdims=True))
 
     best = None
     notes: list[str] = []
-    for k in range(restarts if G > 1 else 1):
-        if k == 0:
-            resp0 = base
-        else:
-            rng = np.random.default_rng(restart_ss[k - 1])
-            draws = rng.gamma(shape=1.0 + base)  # row-wise Dirichlet(1 + one-hot)
-            resp0 = draws / draws.sum(axis=1, keepdims=True)
-        try:
-            model = _run_em(d, family, resp0, tol, max_iter)
-        except (ComponentCollapseError, SingularDesignError) as exc:
-            notes.append(f"restart {k} discarded: {exc}")
+    for k, out in enumerate(_run_em(d, family, np.stack(starts), tol, max_iter)):
+        if isinstance(out, (ComponentCollapseError, SingularDesignError)):
+            notes.append(f"restart {k} discarded: {out}")
             continue
-        if best is None or model.logL > best.logL:
-            best = model
+        if isinstance(out, Exception):
+            raise out
+        if best is None or out.logL > best.logL:
+            best = out
     if best is None:
         if G == 1:
             raise ComponentCollapseError(

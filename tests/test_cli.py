@@ -175,6 +175,27 @@ class TestSweep:
         assert _read(out / "scores.csv") == first_scores
         assert _read(out / "report.json") == first_report
 
+    def test_every_g_failed_names_the_dependent_column(self, tmp_path, capsys):
+        rng = np.random.default_rng(3)
+        n = 40
+        x1 = rng.normal(size=n)
+        y = rng.poisson(np.exp(1.0 + 0.3 * x1))
+        path = tmp_path / "const.csv"
+        lines = ["y,x1,x2"] + [f"{int(y[i])},{float(x1[i])!r},1.5" for i in range(n)]
+        path.write_text("\n".join(lines) + "\n")
+        code = run(
+            [
+                "sweep", "--data", str(path), "--outcome", "y", "--covariates", "x1,x2",
+                "--seed", "1", "--gmax", "2", "--family", "poisson",
+                "--out", str(tmp_path / "out"),
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "G=1: " in err and "G=2: " in err
+        assert "dependent column(s): x2" in err
+        assert "Traceback" not in err
+
 
 class TestGa:
     def test_force_mask_all_matches_sweep_scores(self, sim_dir, tmp_path):

@@ -129,12 +129,14 @@ class TestGradients:
         d = Dataset(y=y, X=X, names=("a", "b"))
         w = rng.uniform(0.0, 1.0, n)
         x = np.array([0.9, 0.25, 0.1, np.log(alpha)])  # (beta, log alpha)
-        grad, info = countglm._nb2_derivs(x, d, w)
+        grad, info = (a[0] for a in countglm._derivs("nb2", x[None], d, w[None]))
         fd_grad = jacobian_central(
-            lambda t: np.array([countglm._nb2_ll(t, d, w)]), x, rel_step=1e-6
+            lambda t: countglm._loglik("nb2", t[None], d, w[None]), x, rel_step=1e-6
         )[0]
         assert np.max(np.abs(grad - fd_grad) / (1.0 + np.abs(fd_grad))) < 1e-5
-        J = jacobian_central(lambda t: countglm._nb2_derivs(t, d, w)[0], x, rel_step=1e-6)
+        J = jacobian_central(
+            lambda t: countglm._derivs("nb2", t[None], d, w[None])[0][0], x, rel_step=1e-6
+        )
         fd_info = -(J + J.T) / 2.0
         np.testing.assert_allclose(info, info.T, rtol=1e-12)
         assert np.max(np.abs(info - fd_info)) <= 1e-6 * np.max(np.abs(info))
@@ -189,6 +191,51 @@ class TestFitPoisson:
             fit_poisson(d)
         assert err.value.columns  # at least one dependent column named
         assert set(err.value.columns) <= {"intercept", "a", "b"}
+
+    def test_constant_covariate_is_named_not_the_intercept(self):
+        rng = np.random.default_rng(4)
+        X = np.column_stack([np.ones(40), rng.normal(size=40), np.full(40, 1.5)])
+        d = Dataset(y=rng.poisson(3.0, 40), X=X, names=("x1", "x2"))
+        with pytest.raises(SingularDesignError) as err:
+            countglm.check_design_rank(d)
+        assert err.value.columns == ("x2",)
+
+    @staticmethod
+    def _designs():
+        rng = np.random.default_rng(5)
+        n = 60
+        z = rng.normal(size=(n, 3))
+        yield "random", z
+        yield "scaled", z * np.array([1e-3, 1.0, 1e4])
+        yield "sum", np.column_stack([z[:, :2], z[:, 0] + z[:, 1]])
+        yield "duplicate", np.column_stack([z[:, 0], z[:, 0], z[:, 1]])
+        yield "near_1e-6", np.column_stack([z[:, 0], z[:, 0] + 1e-6 * z[:, 1]])
+        yield "near_1e-17", np.column_stack([z[:, 0], z[:, 0] + 1e-17 * z[:, 1]])
+        yield "affine", np.column_stack([z[:, 0], 3.0 - 2.0 * z[:, 0]])
+
+    def test_rank_decisions_match_scipy_pivoted_qr(self):
+        import scipy.linalg
+
+        rng = np.random.default_rng(6)
+        for name, Z in self._designs():
+            n, p = Z.shape
+            X = np.column_stack([np.ones(n), Z])
+            d = Dataset(y=rng.poisson(2.0, n), X=X, names=tuple(f"z{j}" for j in range(p)))
+            w = rng.uniform(0.0, 1.0, n)
+            w[:5] = 0.0  # rows below the weight floor are excluded
+            for weights in (None, w):
+                ww = np.ones(n) if weights is None else weights
+                active = ww >= countglm.WEIGHT_FLOOR
+                A = X[active] * np.sqrt(ww[active])[:, None]
+                R = scipy.linalg.qr(A, mode="r", pivoting=True)[0]
+                diag = np.abs(np.diag(R))
+                rank = int((diag > diag.max() * max(A.shape) * np.finfo(float).eps).sum())
+                if rank == p + 1:
+                    countglm.check_design_rank(d, weights)
+                    continue
+                with pytest.raises(SingularDesignError) as err:
+                    countglm.check_design_rank(d, weights)
+                assert len(err.value.columns) == p + 1 - rank, name
 
     def test_all_zero_outcome_handled_without_exception(self, intercept_only):
         # the MLE sits at beta0 -> -inf; the fit settles at the floor of the

@@ -1,3 +1,4 @@
+import sys
 import warnings
 
 import numpy as np
@@ -341,45 +342,51 @@ class TestEmFit:
 
     def test_all_collapsed_restarts_reduce_g(self, poisson_data, monkeypatch):
         d = poisson_data(n=60, seed=20)
-        real_m_step = mixture_mod.m_step
+        real_m_step = mixture_mod._m_step
 
-        def failing_for_two(resp, data, family, prev=None):
-            if resp.shape[1] == 2:
-                raise ComponentCollapseError("forced for test")
-            return real_m_step(resp, data, family, prev)
+        def failing_for_two(resp, data, family, prev):
+            pis, x, failures = real_m_step(resp, data, family, prev)
+            if resp.shape[2] == 2:
+                failures = [ComponentCollapseError("forced for test")] * resp.shape[0]
+            return pis, x, failures
 
-        monkeypatch.setattr(mixture_mod, "m_step", failing_for_two)
+        monkeypatch.setattr(mixture_mod, "_m_step", failing_for_two)
         m = em_fit(d, 2, POISSON, seed=0, restarts=2)
         assert m.G == 1
         assert any("collapsed" in w for w in m.warnings)
 
     def test_one_log_density_build_per_iteration(self, monkeypatch):
         d, _ = gen_regression_mixture(_two_component_spec(), 200, seed=21)
-        real = mixture_mod.log_density_matrix
+        real = mixture_mod.countglm._density_rows
         calls = {"n": 0}
 
         def counting(*args, **kwargs):
-            calls["n"] += 1
+            # the Newton line search evaluates densities too; count the E-step's
+            if sys._getframe(1).f_code is mixture_mod._run_em.__code__:
+                calls["n"] += 1
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(mixture_mod, "log_density_matrix", counting)
-        m = em_fit(d, 2, POISSON, seed=3, restarts=1)
-        assert m.G == 2
-        assert calls["n"] == m.iterations
+        monkeypatch.setattr(mixture_mod.countglm, "_density_rows", counting)
+        base = mixture_mod.init_by_count_mixture(d, 2, seed=0)
+        starts = np.stack([base, 0.5 * base + 0.25, 0.8 * base + 0.1])
+        outcomes = mixture_mod._run_em(d, POISSON, starts, 1e-8, 500)
+        assert all(m.G == 2 for m in outcomes)
+        assert len({m.iterations for m in outcomes}) > 1
+        assert calls["n"] == max(m.iterations for m in outcomes)
 
     def test_single_component_runs_one_restart(self, poisson_data, monkeypatch):
         d = poisson_data(n=80, seed=22)
         one = em_fit(d, 1, POISSON, seed=4, restarts=1)
-        real = mixture_mod.m_step
-        calls = {"n": 0}
+        real = mixture_mod._m_step
+        stacks = []
 
-        def counting(*args, **kwargs):
-            calls["n"] += 1
-            return real(*args, **kwargs)
+        def counting(resp, *args, **kwargs):
+            stacks.append(resp.shape[0])
+            return real(resp, *args, **kwargs)
 
-        monkeypatch.setattr(mixture_mod, "m_step", counting)
+        monkeypatch.setattr(mixture_mod, "_m_step", counting)
         five = em_fit(d, 1, POISSON, seed=4, restarts=5)
-        assert calls["n"] == five.iterations
+        assert stacks == [1] * five.iterations
         for field in ("family", "logL", "converged", "iterations", "warnings"):
             assert getattr(five, field) == getattr(one, field)
         np.testing.assert_array_equal(five.loglik_trace, one.loglik_trace)
@@ -388,3 +395,41 @@ class TestEmFit:
         for cf, co in zip(five.components, one.components):
             assert (cf.pi, cf.alpha) == (co.pi, co.alpha)
             np.testing.assert_array_equal(cf.beta, co.beta)
+
+
+class TestLockStepRestarts:
+    """Every restart in a lock-step stack follows the course it takes alone."""
+
+    @staticmethod
+    def _starts(d, R, seed):
+        base = mixture_mod.init_by_count_mixture(d, 2, seed=seed)
+        rng = np.random.default_rng(seed)
+        starts = [base]
+        for _ in range(R - 1):
+            draws = rng.gamma(shape=1.0 + base)
+            starts.append(draws / draws.sum(axis=1, keepdims=True))
+        return np.stack(starts)
+
+    @pytest.mark.parametrize("family", [POISSON, NB2])
+    def test_each_restart_equals_its_run_alone(self, family):
+        spec = MixtureSpec(
+            weights=(0.4, 0.6),
+            betas=((0.5, 0.8), (3.0, -0.4)),
+            alphas=(0.0, 0.0) if family == POISSON else (0.3, 0.3),
+        )
+        d, _ = gen_regression_mixture(spec, 200, seed=23)
+        starts = self._starts(d, 5, seed=7)
+        starts[4] = 0.0  # a start whose second component holds two rows: discarded
+        starts[4, :, 0] = 1.0
+        starts[4, :2] = (0.0, 1.0)
+        together = mixture_mod._run_em(d, family, starts, 1e-8, 500)
+        assert isinstance(together[4], ComponentCollapseError)
+        for r, stacked in enumerate(together):
+            (alone,) = mixture_mod._run_em(d, family, starts[r : r + 1], 1e-8, 500)
+            assert type(stacked) is type(alone)
+            if isinstance(alone, Exception):
+                assert str(stacked) == str(alone)
+                continue
+            assert stacked.iterations == alone.iterations
+            assert stacked.converged == alone.converged
+            assert stacked.logL == pytest.approx(alone.logL, rel=1e-12)
