@@ -84,10 +84,20 @@ def _weights(d: Dataset, w) -> np.ndarray:
     return np.clip(w, 0.0, 1.0)
 
 
-def _linear_predictor(beta, d: Dataset) -> np.ndarray:
+def _beta(beta, d: Dataset) -> np.ndarray:
     beta = np.asarray(beta, dtype=float)
     if beta.shape != (d.p + 1,):
         raise DimensionError(f"beta length {beta.size} does not match p+1={d.p + 1}")
+    return beta
+
+
+def _check_alpha(alpha) -> None:
+    if not np.isfinite(alpha) or alpha <= 0.0:
+        raise DomainError(f"dispersion alpha must be positive, got {alpha}")
+
+
+def _linear_predictor(beta, d: Dataset) -> np.ndarray:
+    beta = _beta(beta, d)
     with np.errstate(over="ignore", invalid="ignore"):
         eta = d.X @ beta
     bad = ~np.isfinite(eta)
@@ -176,8 +186,7 @@ def _polygamma_ratio(y: np.ndarray, theta, order: int) -> np.ndarray:
 
 def nb2_logpmf(beta, alpha: float, d: Dataset) -> np.ndarray:
     """Per-row NB-2 log-density with mu = exp(X beta) and dispersion alpha."""
-    if not np.isfinite(alpha) or alpha <= 0.0:
-        raise DomainError(f"dispersion alpha must be positive, got {alpha}")
+    _check_alpha(alpha)
     eta = _linear_predictor(beta, d)
     with np.errstate(**_QUIET):
         out = _log_density(NB2, eta, alpha, d)
@@ -247,8 +256,7 @@ def _row_derivs(family: str, y: np.ndarray, mu: np.ndarray, alpha):
 
 def nb2_loglik_grad(beta, alpha: float, d: Dataset, w=None) -> np.ndarray:
     """Analytic gradient of :func:`nb2_loglik` over (beta, alpha), alpha last."""
-    if not np.isfinite(alpha) or alpha <= 0.0:
-        raise DomainError(f"dispersion alpha must be positive, got {alpha}")
+    _check_alpha(alpha)
     w = _weights(d, w)
     eta = _linear_predictor(beta, d)
     with np.errstate(over="ignore"):
@@ -281,18 +289,24 @@ def _check_rank(d: Dataset, w: np.ndarray) -> None:
     if k == 1:
         return  # sqrt(w) alone has rank 1
     if n_active == w.size:
-        a0, A = np.sqrt(w), d.X[:, 1:]
+        a0, XT = np.sqrt(w), d.X.T
     else:
-        a0, A = np.sqrt(w[active]), d.X[active, 1:]
-    A = A * a0[:, None]
-    s00 = float(a0 @ a0)
+        a0, XT = np.sqrt(w[active]), d.X[active].T
+    # the columns of sqrt(w) X as contiguous rows; row 0 is sqrt(w)
+    AT = np.multiply(XT, a0, order="C")
+    gram = AT @ AT.T
+    s00 = float(gram[0, 0])
     r00 = np.sqrt(s00)
-    rest = A - a0[:, None] * ((a0 @ A) / s00)
+    # the covariate columns orthogonal to sqrt(w), column-major as LAPACK takes them
+    rest = (AT[1:] - (gram[0, 1:] / s00)[:, None] * a0).T
     # the workspace query scipy.linalg.qr makes, then the factorization
     lwork = int(_GEQP3(rest, lwork=-1)[3][0])
     qr, jpvt = _GEQP3(rest, lwork=lwork, overwrite_a=1)[:2]
     diag = np.abs(qr.diagonal())
-    tol = max(r00, float(diag.max())) * max(n_active, k) * np.finfo(float).eps
+    # scaled by the largest column norm of sqrt(w) X before centring (the
+    # first pivot of a plain pivoted QR), so that the rounding left in a
+    # centred constant column stays below it at any scale of the constant
+    tol = np.sqrt(gram.diagonal().max()) * max(n_active, k) * np.finfo(float).eps
     if r00 > tol and diag.min() > tol:
         return
     # jpvt is 1-based among the columns after the intercept, so it indexes X
@@ -416,36 +430,32 @@ def _newton(family, x, d, W, tol, gtol, max_iter):
         nb2 = family == NB2
         k = m - 1 if nb2 else m  # beta coordinates
         ll = _loglik(family, x, d, W)
-        prev_ll = np.full(C, np.nan)
+        # x, W and ll hold the rows still in the block; a row's results are
+        # written out when it leaves, at the positions in ``live``
+        live, prev_ll = np.arange(C), None
+        out_x, out_ll, info = np.empty((C, m)), np.empty(C), np.empty((C, m, m))
         converged = np.zeros(C, dtype=bool)
         iterations = np.zeros(C, dtype=np.int64)
-        info = None
-        live = np.arange(C)
+
+        def leave(rows, ok, it, inf_rows):
+            at = live[rows]
+            out_x[at], out_ll[at], info[at] = x[rows], ll[rows], inf_rows
+            converged[at], iterations[at] = ok, it
+
         for it in range(max_iter):
-            if live.size == C:  # no row has left yet: work on the arrays themselves
-                xl, Wl, lll, pll = x, W, ll, prev_ll
-            else:
-                xl, Wl, lll, pll = x[live], W[live], ll[live], prev_ll[live]
-            grad, inf = _derivs(family, xl, d, Wl)
-            if live.size == C:
-                info = inf
-            else:
-                info[live] = inf
+            grad, inf = _derivs(family, x, d, W)
             gfree, frozen = grad, None
             if nb2:
-                frozen = _alpha_side(np.exp(xl[:, k])) * grad[:, k] > 0.0
+                frozen = _alpha_side(np.exp(x[:, k])) * grad[:, k] > 0.0
                 gfree = grad.copy()
                 gfree[frozen, k] = 0.0
             done = np.abs(gfree).max(axis=1) < gtol
-            any_done = done.any()
-            if it and any_done:
-                done &= np.abs(lll - pll) <= tol * (1.0 + np.abs(lll))
-                any_done = done.any()
-            if any_done:
-                converged[live[done]] = True
-                iterations[live[done]] = it
+            if it and done.any():
+                done &= np.abs(ll - prev_ll) <= tol * (1.0 + np.abs(ll))
+            if done.any():
+                leave(done, True, it, inf[done])
                 go = ~done
-                live, xl, Wl, lll = live[go], xl[go], Wl[go], lll[go]
+                live, x, W, ll = live[go], x[go], W[go], ll[go]
                 grad, inf, gfree = grad[go], inf[go], gfree[go]
                 frozen = None if frozen is None else frozen[go]
                 if not live.size:
@@ -457,7 +467,7 @@ def _newton(family, x, d, W, tol, gtol, max_iter):
             if not nb2 or full.all():
                 step = _solve(inf, grad)
             else:
-                step = np.empty_like(xl)
+                step = np.empty_like(x)
                 if full.any():
                     step[full] = _solve(inf[full], grad[full])
                 part = ~full
@@ -465,55 +475,46 @@ def _newton(family, x, d, W, tol, gtol, max_iter):
                 step[part, k] = np.where(frozen[part], 0.0, 0.5 * np.sign(grad[part, k]))
             if nb2:
                 s_step = np.clip(step[:, k], -5.0, 5.0)
-            # halve each row's step until its logL does not decrease; pos holds
-            # the positions in the live arrays still searching (None: all)
-            pos, xs, ss, Ws, ls = None, xl, step, Wl, lll
+            # halve each row's step until its logL does not decrease.  The
+            # full steps are the first candidates for the new block; pos holds
+            # the rows still searching, xs..ls their slices of the block, and
+            # each later pass writes the rows it accepts.  A row that accepts
+            # no step leaves the block.
+            new_x = new_ll = None
+            pos, xs, ss, Ws, ls = np.arange(live.size), x, step, W, ll
             t = 1.0
             for _ in range(MAX_HALVINGS + 1):
                 trial = xs + t * ss
                 if nb2:
-                    s_t = t * (s_step if pos is None else s_step[pos])
-                    trial[:, k] = np.clip(xs[:, k] + s_t, _S_LO, _S_HI)
+                    trial[:, k] = np.clip(xs[:, k] + t * s_step[pos], _S_LO, _S_HI)
                 trial_ll = _loglik(family, trial, d, Ws)
                 up = trial_ll >= ls
+                if new_x is None:
+                    new_x, new_ll = trial, trial_ll
+                elif up.any():
+                    new_x[pos[up]], new_ll[pos[up]] = trial[up], trial_ll[up]
                 if up.all():
-                    if pos is None and live.size == C:  # every row moved
-                        x, ll, prev_ll = trial, trial_ll, ll
-                    else:
-                        hit = live if pos is None else live[pos]
-                        prev_ll[hit] = ll[hit]
-                        x[hit], ll[hit] = trial, trial_ll
                     break
-                if up.any():
-                    if pos is None:
-                        pos = np.arange(live.size)
-                    hit = live[pos[up]]
-                    prev_ll[hit] = ll[hit]
-                    x[hit], ll[hit] = trial[up], trial_ll[up]
+                if up.any():  # near a stall most passes accept no row
                     no = ~up
                     pos, xs, ss, Ws, ls = pos[no], xs[no], ss[no], Ws[no], ls[no]
                 t *= 0.5
             else:
                 # no ascent left at this precision: an optimum if the Newton
                 # decrement, the gain the quadratic model predicts, is negligible
-                if pos is None:
-                    pos = np.arange(live.size)
                 decrement = 0.5 * np.einsum("ij,ij->i", gfree[pos], step[pos])
                 ok = decrement <= tol * (1.0 + np.abs(ls))
-                converged[live[pos]] = ok & newton[pos] if nb2 else ok
-                iterations[live[pos]] = it
-                live = np.delete(live, pos)
+                leave(pos, ok & newton[pos] if nb2 else ok, it, inf[pos])
+                go = np.ones(live.size, dtype=bool)
+                go[pos] = False
+                live, W, ll, new_x, new_ll = live[go], W[go], ll[go], new_x[go], new_ll[go]
                 if not live.size:
                     break
+            x, ll, prev_ll = new_x, new_ll, ll
         else:
-            iterations[live] = max_iter
-            if live.size:  # the cap ended the loop: these rows moved since their last check
-                last = _derivs(family, x[live], d, W[live])[1]
-                if info is None:
-                    info = last
-                else:
-                    info[live] = last
-        return x, ll, converged, iterations, info
+            # the cap ended the loop: these rows moved since their last check
+            leave(slice(None), False, max_iter, _derivs(family, x, d, W)[1])
+        return out_x, out_ll, converged, iterations, info
 
 
 def _se_from_info(info: np.ndarray) -> np.ndarray:
@@ -523,13 +524,6 @@ def _se_from_info(info: np.ndarray) -> np.ndarray:
         return np.full(info.shape[0], np.nan)
     with np.errstate(invalid="ignore"):
         return np.sqrt(np.diag(cov))
-
-
-def _init_beta(init, d: Dataset) -> np.ndarray:
-    beta = np.asarray(init, dtype=float).copy()
-    if beta.shape != (d.p + 1,):
-        raise DimensionError("init beta has wrong length")
-    return beta
 
 
 def _poisson_start(d: Dataset, W: np.ndarray) -> np.ndarray:
@@ -587,7 +581,7 @@ def fit_poisson(
     w = _weights(d, w)
     _check_rank(d, w)
     if init is not None:
-        init = _init_beta(init, d)[None]
+        init = _beta(init, d)[None]
     x, ll, converged, iterations, info = _fit_block(
         POISSON, d, w[None], init, tol, gtol, max_iter
     )
@@ -627,7 +621,7 @@ def fit_nb2(
     if init is not None:
         beta0, alpha0 = init
         s0 = np.log(np.clip(alpha0, ALPHA_MIN, ALPHA_MAX))
-        init = np.append(_init_beta(beta0, d), s0)[None]
+        init = np.append(_beta(beta0, d), s0)[None]
     x, ll, converged, iterations, info = _fit_block(NB2, d, w[None], init, tol, gtol, max_iter)
     alpha = float(np.exp(x[0, -1]))
     return GlmFit(

@@ -115,7 +115,7 @@ def observed_info(model: MixtureModel, d: Dataset) -> np.ndarray:
         logf = log_density_matrix(comps, d, model.family)
     except NumericOverflowError as exc:
         raise InformationMatrixError(f"log-density evaluation failed: {exc}") from exc
-    norm, resp = _posterior(logf, pis, warn=False)
+    norm, resp = _posterior(logf, pis)
     if not np.all(np.isfinite(norm)):
         raise InformationMatrixError("a row has zero density under every component")
 

@@ -10,6 +10,7 @@ in ``countglm`` and takes one posterior pass over every running restart.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 
@@ -17,12 +18,13 @@ import numpy as np
 from scipy.special import gammaln
 
 from . import countglm
-from .countglm import ALPHA_MAX, ALPHA_MIN, NB2, POISSON, validate_family
+from .countglm import ALPHA_MAX, ALPHA_MIN, NB2, validate_family
 from .data import Dataset
 from .errors import (
     ComponentCollapseError,
     DimensionError,
     DomainError,
+    NumericOverflowError,
     SingularDesignError,
 )
 
@@ -91,15 +93,26 @@ def _check_components(components, d: Dataset):
 
 
 def log_density_matrix(components, d: Dataset, family: str) -> np.ndarray:
-    """n x G matrix of per-component log-densities log f_g(y_i | x_i)."""
+    """n x G matrix of per-component log-densities log f_g(y_i | x_i).
+
+    Built in one stacked evaluation by ``countglm._density_rows``, as in
+    :func:`em_fit`.  A component whose linear predictor is not finite, or
+    whose NB-2 density is NaN, raises the :class:`NumericOverflowError`
+    of its one-row density.
+    """
     validate_family(family)
-    cols = []
-    for c in components:
-        if family == POISSON:
-            cols.append(countglm.poisson_logpmf(c.beta, d))
-        else:
-            cols.append(countglm.nb2_logpmf(c.beta, c.alpha, d))
-    return np.column_stack(cols)
+    beta = np.array([countglm._beta(c.beta, d) for c in components])
+    alpha = None
+    if family == NB2:
+        for c in components:
+            countglm._check_alpha(c.alpha)
+        alpha = np.array([[c.alpha] for c in components], dtype=float)
+    with np.errstate(**countglm._QUIET):
+        logf, bad = countglm._density_rows(family, beta, alpha, d)
+    if bad.any():
+        g = int(np.flatnonzero(bad)[0])
+        raise countglm._overflow_error(family, beta[g], None if alpha is None else alpha[g, 0], d)
+    return np.ascontiguousarray(logf.T)
 
 
 def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
@@ -133,15 +146,16 @@ def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _posterior(logf: np.ndarray, pis: np.ndarray, warn: bool = True):
+def _posterior(logf: np.ndarray, pis: np.ndarray):
     """Row normalizers log sum_g pi_g f_ig and responsibilities r_ig.
 
     One log-sum-exp gives both the observed-data log-likelihood (the sum
     of the normalizers) and the posterior.  ``logf`` is (n, G) with
     ``pis`` (G,), or a stack (R, n, G) with ``pis`` (R, G), whose rows
     all go through one :func:`_logsumexp_rows` call.  Rows whose density
-    underflows in every component get uniform responsibilities and, with
-    ``warn``, one RuntimeWarning per affected (n, G) slice.
+    underflows in every component (a normalizer of -inf) get uniform
+    responsibilities; :func:`e_step` and :func:`_run_em` count them from
+    the normalizers to warn.
     """
     logw = logf + np.log(pis)[..., None, :]
     G = logw.shape[-1]
@@ -150,23 +164,24 @@ def _posterior(logf: np.ndarray, pis: np.ndarray, warn: bool = True):
     with np.errstate(invalid="ignore"):
         resp = np.exp(logw - norm[..., None])
     if degenerate.any():
-        if warn:
-            for count in degenerate.reshape(-1, degenerate.shape[-1]).sum(axis=1):
-                if count:
-                    warnings.warn(
-                        f"{int(count)} row(s) had zero density under every "
-                        "component; assigning uniform responsibilities",
-                        RuntimeWarning,
-                        stacklevel=3,
-                    )
         resp[degenerate] = 1.0 / G
     return norm, resp
+
+
+def _warn_zero_density(count: int, stacklevel: int) -> None:
+    """The RuntimeWarning for ``count`` rows of zero density under every component."""
+    warnings.warn(
+        f"{count} row(s) had zero density under every component; "
+        "assigning uniform responsibilities",
+        RuntimeWarning,
+        stacklevel=stacklevel + 1,
+    )
 
 
 def mixture_loglik(components, d: Dataset, family: str) -> float:
     """Observed-data log-likelihood sum_i log sum_g pi_g f_g(y_i | x_i)."""
     pis = _check_components(components, d)
-    norm, _ = _posterior(log_density_matrix(components, d, family), pis, warn=False)
+    norm, _ = _posterior(log_density_matrix(components, d, family), pis)
     return float(norm.sum())
 
 
@@ -177,7 +192,11 @@ def e_step(components, d: Dataset, family: str) -> np.ndarray:
     responsibilities and a RuntimeWarning.
     """
     pis = _check_components(components, d)
-    return _posterior(log_density_matrix(components, d, family), pis)[1]
+    norm, resp = _posterior(log_density_matrix(components, d, family), pis)
+    lost = int(np.count_nonzero(~np.isfinite(norm)))
+    if lost:
+        _warn_zero_density(lost, stacklevel=2)
+    return resp
 
 
 def _restart_failure(W: np.ndarray, d: Dataset):
@@ -250,7 +269,7 @@ def m_step(resp: np.ndarray, d: Dataset, family: str, prev=None):
     for w in resp.T:
         countglm._weights(d, w)
     if prev is not None:  # components to the Newton driver's rows
-        rows = np.array([countglm._init_beta(c.beta, d) for c in prev])
+        rows = np.array([countglm._beta(c.beta, d) for c in prev])
         if family == NB2:
             alphas = np.clip([c.alpha for c in prev], ALPHA_MIN, ALPHA_MAX)
             rows = np.column_stack([rows, np.log(alphas)])
@@ -305,7 +324,7 @@ def init_by_count_mixture(d: Dataset, G: int, seed=0) -> np.ndarray:
     resp = None
     for _ in range(INIT_EM_ITER):
         logf = y[:, None] * np.log(lam)[None, :] - lam[None, :] - lgy[:, None]
-        _, resp = _posterior(logf, pis, warn=False)
+        _, resp = _posterior(logf, pis)
         pis = np.clip(resp.mean(axis=0), 1e-12, None)
         pis = pis / pis.sum()
         mass = resp.sum(axis=0)
@@ -336,12 +355,16 @@ def _run_em(d, family, resp0, tol, max_iter):
     a component collapses (a weight below 1/(2n) or an effective sample
     below p+2), when its weighted design is singular or when its density
     overflows; its course is the one it would take alone.  Returns, per
-    restart, its :class:`MixtureModel` or the error that ended it.
+    restart, its :class:`MixtureModel` or the error that ended it.  The
+    warnings about rows of zero density are held per restart and issued
+    in the order serial runs give: restart by restart, and none after the
+    first restart that overflows, where :func:`em_fit` raises.
     """
     R, n, G = resp0.shape
     k = d.p + 1
     outcome: list = [None] * R
     traces = [[] for _ in range(R)]
+    lost = [[] for _ in range(R)]  # per restart, the zero-density row count of each pass
     live, resp, x = np.arange(R), resp0, None
     for _ in range(max_iter):
         pis, x, ended = _m_step(resp, d, family, x)
@@ -372,6 +395,8 @@ def _run_em(d, family, resp0, tol, max_iter):
         norm, resp = _posterior(logf.reshape(-1, G, n).transpose(0, 2, 1), pis)
         done = np.zeros(live.size, dtype=bool)
         for j, ll in enumerate(norm.sum(axis=1).tolist()):
+            if not math.isfinite(ll):  # some row has zero density under every component
+                lost[live[j]].append(int(np.count_nonzero(~np.isfinite(norm[j]))))
             trace = traces[live[j]]
             done[j] = bool(trace) and abs(ll - trace[-1]) <= tol * (1.0 + abs(ll))
             trace.append(ll)
@@ -385,6 +410,11 @@ def _run_em(d, family, resp0, tol, max_iter):
                 break
     for j, r in enumerate(live):  # stopped by max_iter
         outcome[r] = _model(family, pis[j], x[j * G:(j + 1) * G], resp[j], traces[r], False)
+    for counts, out in zip(lost, outcome):
+        for count in counts:
+            _warn_zero_density(count, stacklevel=2)
+        if isinstance(out, NumericOverflowError):
+            break
     return outcome
 
 

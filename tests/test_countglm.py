@@ -192,12 +192,17 @@ class TestFitPoisson:
         assert err.value.columns  # at least one dependent column named
         assert set(err.value.columns) <= {"intercept", "a", "b"}
 
-    def test_constant_covariate_is_named_not_the_intercept(self):
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+    @pytest.mark.parametrize("c", [1.5, 123.4, 2020.7])
+    def test_constant_covariate_is_named_not_the_intercept(self, c, weighted):
+        # 123.4 and 2020.7 have no short binary form: centring leaves rounding
+        # noise in the constant column, which must still count as zero
         rng = np.random.default_rng(4)
-        X = np.column_stack([np.ones(40), rng.normal(size=40), np.full(40, 1.5)])
+        X = np.column_stack([np.ones(40), rng.normal(size=40), np.full(40, c)])
         d = Dataset(y=rng.poisson(3.0, 40), X=X, names=("x1", "x2"))
+        w = rng.uniform(0.0, 1.0, 40) if weighted else None
         with pytest.raises(SingularDesignError) as err:
-            countglm.check_design_rank(d)
+            countglm.check_design_rank(d, w)
         assert err.value.columns == ("x2",)
 
     @staticmethod
@@ -207,6 +212,7 @@ class TestFitPoisson:
         z = rng.normal(size=(n, 3))
         yield "random", z
         yield "scaled", z * np.array([1e-3, 1.0, 1e4])
+        yield "offset", np.column_stack([1e4 + z[:, 0], z[:, 1:]])
         yield "sum", np.column_stack([z[:, :2], z[:, 0] + z[:, 1]])
         yield "duplicate", np.column_stack([z[:, 0], z[:, 0], z[:, 1]])
         yield "near_1e-6", np.column_stack([z[:, 0], z[:, 0] + 1e-6 * z[:, 1]])

@@ -23,7 +23,12 @@ from countmix import (
     poisson_loglik,
 )
 from countmix import mixture as mixture_mod
-from countmix.errors import ComponentCollapseError, DimensionError, DomainError
+from countmix.errors import (
+    ComponentCollapseError,
+    DimensionError,
+    DomainError,
+    NumericOverflowError,
+)
 
 
 def _toy_components():
@@ -433,3 +438,42 @@ class TestLockStepRestarts:
             assert stacked.iterations == alone.iterations
             assert stacked.converged == alone.converged
             assert stacked.logL == pytest.approx(alone.logL, rel=1e-12)
+
+    @pytest.mark.parametrize("overflow", [False, True], ids=["all_run", "restart_1_overflows"])
+    def test_warnings_come_restart_by_restart(self, monkeypatch, overflow):
+        # in each of the first three E-steps, restart r gets 1 + t + 4 r rows
+        # of zero density; serial runs would warn about restart 0's rows, then
+        # restart 1's, and none after a restart whose density overflows
+        d, _ = gen_regression_mixture(_two_component_spec(), 200, seed=24)
+        R, G = 3, 2
+        real = mixture_mod.countglm._density_rows
+        passes = {"t": 0}
+
+        def injecting(*args, **kwargs):
+            logf, bad = real(*args, **kwargs)
+            if sys._getframe(1).f_code is not mixture_mod._run_em.__code__:
+                return logf, bad
+            t = passes["t"]
+            passes["t"] += 1
+            if t < 3:
+                assert logf.shape[0] == R * G  # every restart still runs
+                for r in range(R):
+                    logf[r * G : (r + 1) * G, : 1 + t + 4 * r] = -np.inf
+            elif t == 3 and overflow:
+                bad[G] = True  # restart 1's first component
+            return logf, bad
+
+        monkeypatch.setattr(mixture_mod.countglm, "_density_rows", injecting)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            if overflow:
+                with pytest.raises(NumericOverflowError):
+                    em_fit(d, G, POISSON, seed=3, restarts=R)
+            else:
+                em_fit(d, G, POISSON, seed=3, restarts=R)
+        lost = [w for w in caught if "zero density" in str(w.message)]
+        ran = 2 if overflow else R
+        assert [int(str(w.message).split()[0]) for w in lost] == [
+            1 + t + 4 * r for r in range(ran) for t in range(3)
+        ]
+        assert all(w.filename == mixture_mod.__file__ for w in lost)  # em_fit's call site
