@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import secrets
 import sys
+from dataclasses import replace
 
 from . import __version__
 from .data import (
@@ -220,8 +222,39 @@ def _score_table_text(rows, best) -> str:
     return "\n".join(lines)
 
 
+def _invocation(command: str, recorded: list[str], seed: int) -> dict:
+    """The metadata that lets a report's run be repeated."""
+    return {
+        "command": command,
+        "argv": recorded,
+        "seed": seed,
+        "generator": GENERATOR_ID,
+        "version": __version__,
+    }
+
+
+def _summaries(model, d: Dataset) -> list:
+    return [
+        {name: vars(cs) for name, cs in stats.items()} if stats is not None else None
+        for stats in component_summaries(model, d)
+    ]
+
+
+def _check_model_flags(args) -> None:
+    """Reject model flags no fit can use, before any data is read or fitted."""
+    if args.gmax < 1:
+        raise DomainError(f"--gmax must be >= 1, got {args.gmax}")
+    if args.restarts < 1:
+        raise DomainError(f"--restarts must be >= 1, got {args.restarts}")
+    if not (math.isfinite(args.alpha_threshold) and args.alpha_threshold >= 0.0):
+        raise DomainError(
+            f"--alpha-threshold must be finite and >= 0, got {args.alpha_threshold}"
+        )
+
+
 def cmd_sweep(args, argv: list[str]) -> int:
     seed, recorded = _resolve_seed(args, argv)
+    _check_model_flags(args)
     d = _load_dataset(args)
     criterion = normalize_criterion(args.criterion)
     result = sweep(
@@ -241,18 +274,9 @@ def cmd_sweep(args, argv: list[str]) -> int:
         model = result.models[selected]
         if model.converged:
             components = report_components(model, d)
-        summaries = [
-            {name: vars(cs) for name, cs in stats.items()} if stats is not None else None
-            for stats in component_summaries(model, d)
-        ]
+        summaries = _summaries(model, d)
     report = RunReport(
-        invocation={
-            "command": "sweep",
-            "argv": recorded,
-            "seed": seed,
-            "generator": GENERATOR_ID,
-            "version": __version__,
-        },
+        invocation=_invocation("sweep", recorded, seed),
         family=result.family_used,
         score_table=list(result.rows),
         chosen=dict(result.best),
@@ -270,28 +294,42 @@ def cmd_sweep(args, argv: list[str]) -> int:
     return EXIT_OK
 
 
-def _resolve_ga_family_and_g(d, args, seed):
-    family = args.family
-    if family == "auto":
-        family = choose_family(d, args.alpha_threshold)
-    if args.resweep_g:
-        return family, None
-    if isinstance(args.g, str) and args.g.lower() == "auto":
-        full = sweep(d, args.gmax, seed=seed, restarts=args.restarts, family=family)
-        return family, full.best_G(normalize_criterion(args.criterion))
+def _parse_g(text: str) -> int | None:
+    """The --g flag as a component count, or None for 'auto'."""
+    if text.lower() == "auto":
+        return None
     try:
-        g_val = int(args.g)
+        return int(text)
     except ValueError:
-        raise _InputProblem(f"--g must be an integer or 'auto', got {args.g!r}") from None
-    return family, g_val
+        raise _InputProblem(f"--g must be an integer or 'auto', got {text!r}") from None
 
 
 def cmd_ga(args, argv: list[str]) -> int:
     seed, recorded = _resolve_seed(args, argv)
-    d = _load_dataset(args)
+    _check_model_flags(args)
     criterion = normalize_criterion(args.criterion)
+    # built before any fit, so that bad GA flags fail before the family gate
+    cfg = GaConfig(
+        pop_size=args.pop,
+        generations=args.gens,
+        crossover_rate=args.cx,
+        mutation_rate=args.mut,
+        elitism=args.elitism,
+        criterion=criterion,
+        G=None if args.resweep_g else _parse_g(args.g),
+        runs=args.runs,
+        seed=seed,
+        restarts=args.restarts,
+        g_max=args.gmax,
+        select_g_per_mask=args.resweep_g,
+    )
+    d = _load_dataset(args)
     force_mask = _parse_mask(args.force_mask, d.p) if args.force_mask is not None else None
-    family, G = _resolve_ga_family_and_g(d, args, seed)
+    family = choose_family(d, args.alpha_threshold) if args.family == "auto" else args.family
+    G = cfg.G
+    if G is None and not args.resweep_g:
+        full = sweep(d, args.gmax, seed=seed, restarts=args.restarts, family=family)
+        G = full.best_G(criterion)
     cache: dict = {}
     if force_mask is not None:
         fitness(
@@ -305,21 +343,7 @@ def cmd_ga(args, argv: list[str]) -> int:
             SubsetRecord(mask=force_mask, aic=row.aic, caic=row.caic, sbc=row.sbc, wins=1, runs=1)
         ]
     else:
-        cfg = GaConfig(
-            pop_size=args.pop,
-            generations=args.gens,
-            crossover_rate=args.cx,
-            mutation_rate=args.mut,
-            elitism=args.elitism,
-            criterion=criterion,
-            G=G,
-            runs=args.runs,
-            seed=seed,
-            restarts=args.restarts,
-            g_max=args.gmax,
-            select_g_per_mask=args.resweep_g,
-        )
-        records = evolve(d, cfg, family=family)
+        records = evolve(d, replace(cfg, G=G), family=family)
 
     winner = records[0].mask
     sub = apply_mask(d, winner)
@@ -334,10 +358,7 @@ def cmd_ga(args, argv: list[str]) -> int:
                 f"not the requested G={G}"
             )
     components = report_components(model, sub) if model.converged else []
-    summaries = [
-        {name: vars(cs) for name, cs in stats.items()} if stats is not None else None
-        for stats in component_summaries(model, sub)
-    ]
+    summaries = _summaries(model, sub)
     ga_payload = [
         {
             "subset": rec.mask.render(),
@@ -352,13 +373,7 @@ def cmd_ga(args, argv: list[str]) -> int:
         for rec in records
     ]
     report = RunReport(
-        invocation={
-            "command": "ga",
-            "argv": recorded,
-            "seed": seed,
-            "generator": GENERATOR_ID,
-            "version": __version__,
-        },
+        invocation=_invocation("ga", recorded, seed),
         family=family,
         selected_G=model.G,
         criterion=criterion,
@@ -382,13 +397,7 @@ def cmd_ga(args, argv: list[str]) -> int:
 
 def cmd_simulate(args, argv: list[str]) -> int:
     seed, recorded = _resolve_seed(args, argv)
-    meta: dict = {
-        "command": "simulate",
-        "argv": recorded,
-        "seed": seed,
-        "generator": GENERATOR_ID,
-        "version": __version__,
-    }
+    meta = _invocation("simulate", recorded, seed)
     if args.spec is not None:
         try:
             with open(args.spec, "r", encoding="utf-8") as fh:

@@ -2,14 +2,15 @@
 
 Both families use the log link, mu = exp(X beta).  The NB-2 density adds a
 dispersion alpha > 0 with variance mu * (1 + alpha * mu); alpha -> 0 recovers
-the Poisson model.  One damped Newton driver, ``_newton``, fits a block of
-C weighted regressions of one family at once: over beta for Poisson, and
-over the joint vector (beta, log alpha) for NB-2, with the analytic gradient
-and information built from the per-row derivatives in ``_row_derivs``.
-Each fit in the block keeps its own step halving and stopping rule.
-:func:`fit_poisson` and :func:`fit_nb2` are blocks of one; the mixture
-M-step fits every component of every EM restart in one block.  All
-operations are pure functions of their inputs.
+the Poisson model.  One block kernel, for C parameter rows at once, is the
+only place densities (``_density_rows``), log-likelihoods (``_loglik``),
+per-row scores and information terms (``_row_derivs``) and their weighted
+assembly into gradients and X' diag(w i) X (``_weighted_derivs``) are built.
+The damped Newton driver ``_newton`` fits C weighted regressions of one
+family on it, over beta for Poisson and (beta, log alpha) for NB-2, each
+with its own step halving and stopping rule.  The one-row likelihood
+functions and :func:`fit_poisson` / :func:`fit_nb2` are blocks of one; the
+EM M-step, the ICOMP information and the Wald SEs use the same kernel.
 """
 
 from __future__ import annotations
@@ -96,23 +97,6 @@ def _check_alpha(alpha) -> None:
         raise DomainError(f"dispersion alpha must be positive, got {alpha}")
 
 
-def _linear_predictor(beta, d: Dataset) -> np.ndarray:
-    beta = _beta(beta, d)
-    with np.errstate(over="ignore", invalid="ignore"):
-        eta = d.X @ beta
-    bad = ~np.isfinite(eta)
-    if bad.any():
-        row = int(np.flatnonzero(bad)[0])
-        raise NumericOverflowError(f"non-finite linear predictor at row {row}", row=row)
-    return eta
-
-
-def _weighted_sum(w: np.ndarray, rows: np.ndarray) -> float:
-    # 0 * (-inf) from fully excluded rows must contribute 0, not NaN
-    contrib = np.where(w > 0.0, w * rows, 0.0)
-    return float(contrib.sum())
-
-
 def _log_density(family: str, eta, alpha, d: Dataset) -> np.ndarray:
     """Log-densities at linear predictors eta (n, or C x n for C fits).
 
@@ -130,28 +114,6 @@ def _log_density(family: str, eta, alpha, d: Dataset) -> np.ndarray:
     ratio = np.where(amu > 1.0, -np.log1p(1.0 / amu), np.log(amu) - log1p_amu)
     ylog = np.where(d.y > 0, d.y * ratio, 0.0)
     return _polygamma_ratio(d.y, theta, -1) + ylog - theta * log1p_amu - d.log_y_factorial
-
-
-def poisson_logpmf(beta, d: Dataset) -> np.ndarray:
-    """Per-row Poisson log-density with mu = exp(X beta)."""
-    eta = _linear_predictor(beta, d)
-    with np.errstate(**_QUIET):
-        return _log_density(POISSON, eta, 0.0, d)
-
-
-def poisson_loglik(beta, d: Dataset, w=None) -> float:
-    """Weighted Poisson log-likelihood sum_i w_i [y_i eta_i - exp(eta_i) - log y_i!]."""
-    return _weighted_sum(_weights(d, w), poisson_logpmf(beta, d))
-
-
-def poisson_loglik_grad(beta, d: Dataset, w=None) -> np.ndarray:
-    """Analytic gradient of :func:`poisson_loglik` with respect to beta."""
-    w = _weights(d, w)
-    eta = _linear_predictor(beta, d)
-    with np.errstate(over="ignore"):
-        mu = np.exp(eta)
-    resid = np.where(w > 0.0, w * (d.y - mu), 0.0)
-    return d.X.T @ resid
 
 
 # F and the term of its rising sum F(y + theta) - F(theta) = sum_{j<y} term(theta + j)
@@ -184,26 +146,13 @@ def _polygamma_ratio(y: np.ndarray, theta, order: int) -> np.ndarray:
     return out
 
 
-def nb2_logpmf(beta, alpha: float, d: Dataset) -> np.ndarray:
-    """Per-row NB-2 log-density with mu = exp(X beta) and dispersion alpha."""
-    _check_alpha(alpha)
-    eta = _linear_predictor(beta, d)
-    with np.errstate(**_QUIET):
-        out = _log_density(NB2, eta, alpha, d)
-    bad = np.isnan(out)
-    if bad.any():
-        row = int(np.flatnonzero(bad)[0])
-        raise NumericOverflowError(f"non-finite NB-2 log-density at row {row}", row=row)
-    return out
-
-
 def _density_rows(family: str, beta: np.ndarray, alpha, d: Dataset):
     """Log-densities of C parameter rows at once, as a (C, n) array.
 
     ``beta`` is (C, k) and ``alpha`` a (C, 1) column (ignored for
     Poisson).  Also returns a (C,) flag of the rows whose linear predictor
-    is not finite or whose NB-2 density is NaN, where the one-row
-    functions raise :class:`NumericOverflowError`.  Callers run it under
+    is not finite or whose NB-2 density is NaN; :func:`_overflow_error`
+    words the error of such a row.  Callers run it under
     ``np.errstate(**_QUIET)``.
     """
     eta = beta @ d.X.T
@@ -214,33 +163,58 @@ def _density_rows(family: str, beta: np.ndarray, alpha, d: Dataset):
     return out, bad
 
 
-def _overflow_error(family: str, beta, alpha, d: Dataset) -> NumericOverflowError:
-    """The error that the density of one flagged parameter row raises."""
-    try:
-        poisson_logpmf(beta, d) if family == POISSON else nb2_logpmf(beta, alpha, d)
-    except NumericOverflowError as exc:
-        return exc
+def _overflow_error(family: str, beta, alpha, d: Dataset, c: int) -> NumericOverflowError:
+    """The error of row c of a block that :func:`_density_rows` flags.
+
+    It evaluates that row as a block of one and names the first data row
+    whose linear predictor is not finite or, if there is none, the first
+    whose NB-2 density is NaN.
+    """
+    alpha = None if alpha is None else alpha[c:c + 1]
+    with np.errstate(**_QUIET):
+        eta = beta[c:c + 1] @ d.X.T
+        out = _log_density(family, eta, alpha, d)
+    for what, bad in (("linear predictor", ~np.isfinite(eta)), ("NB-2 log-density", np.isnan(out))):
+        if bad.any():
+            row = int(np.flatnonzero(bad[0])[0])
+            return NumericOverflowError(f"non-finite {what} at row {row}", row=row)
     return NumericOverflowError("non-finite log-density")
 
 
-def nb2_loglik(beta, alpha: float, d: Dataset, w=None) -> float:
-    """Weighted NB-2 log-likelihood at (beta, alpha)."""
-    return _weighted_sum(_weights(d, w), nb2_logpmf(beta, alpha, d))
+def _weighted_total(W: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Row sums of W * out; entries of weight 0 add 0, also where out is -inf."""
+    return np.multiply(W, out, out=np.zeros_like(out), where=W > 0.0).sum(axis=1)
 
 
-def _row_derivs(family: str, y: np.ndarray, mu: np.ndarray, alpha):
-    """Per-row derivatives of the log-density in eta = x'beta and s = log(alpha).
+def _loglik(family: str, x: np.ndarray, d: Dataset, W: np.ndarray) -> np.ndarray:
+    """Weighted log-likelihoods of C parameter rows (NB-2 rows end in log alpha).
 
-    ``mu`` is (n,) with a scalar ``alpha``, or (C, n) with a (C, 1) column.
+    ``W`` is a (C, n) block of pre-validated weights.  A row whose
+    density overflows scores -inf.  Runs under :func:`_newton`'s
+    ``np.errstate(**_QUIET)``, as does :func:`_derivs`.
+    """
+    k = d.X.shape[1]
+    alpha = np.exp(x[:, k:]) if family == NB2 else None
+    out, bad = _density_rows(family, x[:, :k], alpha, d)
+    ll = _weighted_total(W, out)
+    ll[bad] = -np.inf
+    return ll
 
-    Returns ``(u, i_ee, v, i_es, i_ss)``: the eta score u, the eta-eta
-    information weight i_ee and, for NB-2, the s score v and the eta-s and
-    s-s information terms (information is minus the second derivative).
-    The three s terms are None for Poisson.  With theta = 1/alpha,
-    L = log1p(alpha mu) and D, T the digamma and trigamma ratios:
-    v = theta (L - D) + u and
+
+def _row_derivs(family: str, beta: np.ndarray, alpha, d: Dataset):
+    """Per-row derivatives of C log-densities in eta = x'beta and s = log(alpha).
+
+    ``beta`` is (C, k) and ``alpha`` a (C, 1) column (ignored for
+    Poisson); every term is (C, n).  Returns ``(u, i_ee, v, i_es, i_ss)``:
+    the eta score u, the eta-eta information weight i_ee and, for NB-2,
+    the s score v and the eta-s and s-s information terms (information is
+    minus the second derivative).  The three s terms are None for Poisson.
+    With mu = exp(eta), theta = 1/alpha, L = log1p(alpha mu) and D, T the
+    digamma and trigamma ratios: v = theta (L - D) + u and
     i_ss = theta (L - D) - mu / (1 + alpha mu) - theta^2 T + i_es.
     """
+    y = d.y
+    mu = np.exp(beta @ d.X.T)
     if family == POISSON:
         return y - mu, mu, None, None, None
     theta = 1.0 / alpha
@@ -254,16 +228,89 @@ def _row_derivs(family: str, y: np.ndarray, mu: np.ndarray, alpha):
     return u, i_ee, tail + u, i_es, i_ss
 
 
+def _weighted_derivs(d: Dataset, W: np.ndarray, rows):
+    """Gradients (C, m) and information matrices (C, m, m) from :func:`_row_derivs` terms.
+
+    ``W`` is the (C, n) block of weights; m is k for Poisson and k + 1
+    for NB-2, whose last coordinate is s = log(alpha).  The beta-beta
+    blocks are one stacked product X' diag(w_c i_c) X, so each row's
+    information is computed exactly as for a row on its own.
+    """
+    u, i_ee, v, i_es, i_ss = rows
+    on = W > 0.0
+
+    def weighted(r):  # 0 where the weight is 0, also where r is not finite
+        return np.where(on, W * r, 0.0)
+
+    grad = weighted(u) @ d.X
+    beta_info = d.X.T @ (d.X * weighted(i_ee)[:, :, None])
+    if v is None:
+        return grad, beta_info
+    C, k = grad.shape
+    info = np.empty((C, k + 1, k + 1))
+    info[:, :k, :k] = beta_info
+    info[:, :k, k] = info[:, k, :k] = weighted(i_es) @ d.X
+    info[:, k, k] = weighted(i_ss).sum(axis=1)
+    return np.column_stack([grad, weighted(v).sum(axis=1)]), info
+
+
+def _derivs(family: str, x: np.ndarray, d: Dataset, W: np.ndarray):
+    """Gradients and information matrices of C weighted log-likelihoods.
+
+    Each row of ``x`` is beta, then s = log(alpha) for NB-2.
+    """
+    k = d.X.shape[1]
+    alpha = np.exp(x[:, k:]) if family == NB2 else None
+    return _weighted_derivs(d, W, _row_derivs(family, x[:, :k], alpha, d))
+
+
+def _one_row(family: str, beta, alpha, d: Dataset, w):
+    """The arguments of the one-row functions as a validated block of one.
+
+    Returns the (1, k) beta row, the (1, 1) alpha column (None for
+    Poisson), the (1, n) weights and the (1, n) log-densities.  A flagged
+    density raises its :class:`NumericOverflowError`.
+    """
+    W = _weights(d, w)[None]
+    beta = _beta(beta, d)[None]
+    if family == NB2:
+        _check_alpha(alpha)
+        alpha = np.array([[alpha]], dtype=float)
+    with np.errstate(**_QUIET):
+        out, bad = _density_rows(family, beta, alpha, d)
+    if bad[0]:
+        raise _overflow_error(family, beta, alpha, d, 0)
+    return beta, alpha, W, out
+
+
+def _one_row_grad(family: str, beta, alpha, d: Dataset, w) -> np.ndarray:
+    beta, alpha, W, _ = _one_row(family, beta, alpha, d, w)
+    with np.errstate(**_QUIET):
+        return _weighted_derivs(d, W, _row_derivs(family, beta, alpha, d))[0][0]
+
+
+def poisson_loglik(beta, d: Dataset, w=None) -> float:
+    """Weighted Poisson log-likelihood sum_i w_i [y_i eta_i - exp(eta_i) - log y_i!]."""
+    W, out = _one_row(POISSON, beta, None, d, w)[2:]
+    return float(_weighted_total(W, out)[0])
+
+
+def poisson_loglik_grad(beta, d: Dataset, w=None) -> np.ndarray:
+    """Analytic gradient of :func:`poisson_loglik` with respect to beta."""
+    return _one_row_grad(POISSON, beta, None, d, w)
+
+
+def nb2_loglik(beta, alpha: float, d: Dataset, w=None) -> float:
+    """Weighted NB-2 log-likelihood at (beta, alpha)."""
+    W, out = _one_row(NB2, beta, alpha, d, w)[2:]
+    return float(_weighted_total(W, out)[0])
+
+
 def nb2_loglik_grad(beta, alpha: float, d: Dataset, w=None) -> np.ndarray:
     """Analytic gradient of :func:`nb2_loglik` over (beta, alpha), alpha last."""
-    _check_alpha(alpha)
-    w = _weights(d, w)
-    eta = _linear_predictor(beta, d)
-    with np.errstate(over="ignore"):
-        mu = np.exp(eta)
-    u, _, v, _, _ = _row_derivs(NB2, d.y, mu, alpha)
-    gbeta = d.X.T @ np.where(w > 0.0, w * u, 0.0)
-    return np.append(gbeta, _weighted_sum(w, v) / alpha)  # d/d alpha = (d/ds) / alpha
+    grad = _one_row_grad(NB2, beta, alpha, d, w)
+    grad[-1] /= alpha  # d/d alpha = (d/ds) / alpha
+    return grad
 
 
 def check_design_rank(d: Dataset, w=None) -> None:
@@ -316,50 +363,6 @@ def _check_rank(d: Dataset, w: np.ndarray) -> None:
         f"design is rank deficient; dependent column(s): {', '.join(labels)}",
         columns=labels,
     )
-
-
-def _loglik(family: str, x: np.ndarray, d: Dataset, W: np.ndarray) -> np.ndarray:
-    """Weighted log-likelihoods of C parameter rows (NB-2 rows end in log alpha).
-
-    ``W`` is a (C, n) block of pre-validated weights.  A row whose
-    density overflows scores -inf.  Runs under :func:`_newton`'s
-    ``np.errstate(**_QUIET)``, as does :func:`_derivs`.
-    """
-    k = d.X.shape[1]
-    alpha = np.exp(x[:, k:]) if family == NB2 else None
-    out, bad = _density_rows(family, x[:, :k], alpha, d)
-    # rows of weight 0 contribute 0, also where their density is -inf
-    ll = np.multiply(W, out, out=np.zeros_like(out), where=W > 0.0).sum(axis=1)
-    ll[bad] = -np.inf
-    return ll
-
-
-def _derivs(family: str, x: np.ndarray, d: Dataset, W: np.ndarray):
-    """Gradients (C, m) and information matrices (C, m, m) of C weighted log-likelihoods.
-
-    Each row of ``x`` is beta, then s = log(alpha) for NB-2.  The beta-beta
-    blocks are one stacked product X' diag(w_c i_c) X, so each fit's
-    information is computed exactly as for a fit on its own.
-    """
-    C, m = x.shape
-    k = d.X.shape[1]
-    mu = np.exp(x[:, :k] @ d.X.T)
-    alpha = np.exp(x[:, k:]) if family == NB2 else 0.0
-    rows = _row_derivs(family, d.y, mu, alpha)
-    on = W > 0.0
-
-    def weighted(r):
-        return np.where(on, W * r, 0.0)
-
-    grad = weighted(rows[0]) @ d.X
-    beta_info = d.X.T @ (d.X * weighted(rows[1])[:, :, None])
-    if family == POISSON:
-        return grad, beta_info
-    info = np.empty((C, m, m))
-    info[:, :k, :k] = beta_info
-    info[:, :k, k] = info[:, k, :k] = weighted(rows[3]) @ d.X
-    info[:, k, k] = weighted(rows[4]).sum(axis=1)
-    return np.column_stack([grad, weighted(rows[2]).sum(axis=1)]), info
 
 
 def _alpha_side(alpha):
@@ -563,6 +566,35 @@ def _fit_block(
     return _newton(family, init, d, W, tol, gtol, max_iter)
 
 
+def _fit_one(family, d, w, init, tol, gtol, max_iter) -> GlmFit:
+    """:func:`fit_poisson` or :func:`fit_nb2` as a :func:`_fit_block` of one."""
+    w = _weights(d, w)
+    nb2 = family == NB2
+    if nb2 and d.n < d.p + 2:
+        raise DimensionError(f"NB-2 needs n >= p + 2 ({d.n} < {d.p + 2})")
+    _check_rank(d, w)
+    if init is not None:  # to the driver's layout: beta, then log alpha for NB-2
+        if nb2:
+            beta0, alpha0 = init
+            init = np.append(_beta(beta0, d), np.log(np.clip(alpha0, ALPHA_MIN, ALPHA_MAX)))
+        else:
+            init = _beta(init, d)
+        init = init[None]
+    x, ll, converged, iterations, info = _fit_block(family, d, w[None], init, tol, gtol, max_iter)
+    k = d.p + 1
+    alpha = float(np.exp(x[0, k])) if nb2 else 0.0
+    return GlmFit(
+        family=family,
+        beta=x[0, :k],
+        alpha=alpha,
+        se=_se_from_info(info[0])[:k],
+        logL=float(ll[0]),
+        converged=bool(converged[0]),
+        iterations=int(iterations[0]),
+        alpha_pinned=nb2 and bool(_alpha_side(alpha) != 0),
+    )
+
+
 def fit_poisson(
     d: Dataset,
     w=None,
@@ -578,22 +610,7 @@ def fit_poisson(
     decrement once no step improves the log-likelihood.  Non-convergence
     returns the best iterate with ``converged=False`` rather than raising.
     """
-    w = _weights(d, w)
-    _check_rank(d, w)
-    if init is not None:
-        init = _beta(init, d)[None]
-    x, ll, converged, iterations, info = _fit_block(
-        POISSON, d, w[None], init, tol, gtol, max_iter
-    )
-    return GlmFit(
-        family=POISSON,
-        beta=x[0],
-        alpha=0.0,
-        se=_se_from_info(info[0]),
-        logL=float(ll[0]),
-        converged=bool(converged[0]),
-        iterations=int(iterations[0]),
-    )
+    return _fit_one(POISSON, d, w, init, tol, gtol, max_iter)
 
 
 def fit_nb2(
@@ -614,26 +631,7 @@ def fit_nb2(
     one that ends on a bound sets ``alpha_pinned`` instead of raising.
     ``se`` holds the beta part of the inverse joint information.
     """
-    w = _weights(d, w)
-    if d.n < d.p + 2:
-        raise DimensionError(f"NB-2 needs n >= p + 2 ({d.n} < {d.p + 2})")
-    _check_rank(d, w)
-    if init is not None:
-        beta0, alpha0 = init
-        s0 = np.log(np.clip(alpha0, ALPHA_MIN, ALPHA_MAX))
-        init = np.append(_beta(beta0, d), s0)[None]
-    x, ll, converged, iterations, info = _fit_block(NB2, d, w[None], init, tol, gtol, max_iter)
-    alpha = float(np.exp(x[0, -1]))
-    return GlmFit(
-        family=NB2,
-        beta=x[0, :-1],
-        alpha=alpha,
-        se=_se_from_info(info[0])[:-1],
-        logL=float(ll[0]),
-        converged=bool(converged[0]),
-        iterations=int(iterations[0]),
-        alpha_pinned=bool(_alpha_side(alpha) != 0),
-    )
+    return _fit_one(NB2, d, w, init, tol, gtol, max_iter)
 
 
 def dispersion_stat(d: Dataset) -> float:

@@ -6,7 +6,8 @@ only: mixture weights are reparameterized to G-1 logits against the last
 component and NB-2 dispersions sit on the log scale, which keeps the
 matrix full rank despite the simplex constraint.  It is computed in closed
 form by Louis's (1982) missing-information identity from the per-row
-derivatives in ``countglm._row_derivs`` (see :func:`observed_info`).
+derivatives and weighted information blocks of ``countglm``'s likelihood
+kernel (see :func:`observed_info`).
 Instability of that matrix is a value-level outcome (ICOMP unavailable),
 never an exception.
 """
@@ -22,7 +23,7 @@ from . import countglm
 from .countglm import NB2, validate_family
 from .data import Dataset
 from .errors import DomainError, InformationMatrixError, NumericOverflowError
-from .mixture import MixtureModel, _posterior, log_density_matrix
+from .mixture import MixtureModel, _component_stacks, _posterior, log_density_matrix
 
 CRITERIA = ("aic", "sbc", "caic", "icomp")
 
@@ -121,19 +122,19 @@ def observed_info(model: MixtureModel, d: Dataset) -> np.ndarray:
 
     info = np.zeros((size, size))
     scores = np.zeros((d.n, G, size))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for g, c in enumerate(comps):
-            mu = np.exp(d.X @ c.beta)
-            u, i_ee, v, i_es, i_ss = countglm._row_derivs(model.family, d.y, mu, c.alpha)
-            r = resp[:, g]
+    with np.errstate(**countglm._QUIET):
+        # the complete-data blocks of all G components from one weighted assembly
+        rows = countglm._row_derivs(model.family, *_component_stacks(comps, d, model.family), d)
+        blocks = countglm._weighted_derivs(d, resp.T, rows)[1]
+        for g in range(G):
             b = slice(g * k, (g + 1) * k)
-            scores[:, g, b] = d.X * u[:, None]
-            info[b, b] = d.X.T @ (d.X * (r * i_ee)[:, None])
+            scores[:, g, b] = d.X * rows[0][g, :, None]
+            info[b, b] = blocks[g, :k, :k]
             if nb2:
                 j = t0 + G - 1 + g
-                scores[:, g, j] = v
-                info[b, j] = info[j, b] = d.X.T @ (r * i_es)
-                info[j, j] = r @ i_ss
+                scores[:, g, j] = rows[2][g]
+                info[b, j] = info[j, b] = blocks[g, :k, k]
+                info[j, j] = blocks[g, k, k]
         if G > 1:
             t, head = slice(t0, t0 + G - 1), pis[:-1]
             scores[:, :, t] = np.eye(G)[:, :-1] - head

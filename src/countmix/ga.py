@@ -25,7 +25,7 @@ from .data import (
     summary_stats,
 )
 from .errors import CountmixError, DomainError
-from .mixture import MixtureModel, em_fit
+from .mixture import MixtureModel, _component_stacks, em_fit
 from .selection import DEFAULT_G_MAX, choose_family, normalize_criterion, sweep
 
 WALD_Z = 1.96
@@ -69,6 +69,8 @@ class GaConfig:
             raise DomainError("mutation_rate must be in [0, 1]")
         if self.runs < 1 or self.generations < 1:
             raise DomainError("runs and generations must be >= 1")
+        if self.restarts < 1 or self.g_max < 1 or (self.G is not None and self.G < 1):
+            raise DomainError("restarts, g_max and a fixed G must be >= 1")
         normalize_criterion(self.criterion)
 
 
@@ -258,6 +260,13 @@ def report_components(model: MixtureModel, d: Dataset) -> list[dict]:
     """
     if not model.converged:
         raise DomainError("report_components requires a converged model")
+    # every component's complete-data information in one weighted assembly;
+    # a table uses the beta block restricted to its active columns
+    with np.errstate(**countglm._QUIET):
+        rows = countglm._row_derivs(
+            model.family, *_component_stacks(model.components, d, model.family), d
+        )
+        info = countglm._weighted_derivs(d, model.responsibilities.T, rows)[1]
     tables = []
     for g, comp in enumerate(model.components):
         r = model.responsibilities[:, g]
@@ -273,13 +282,8 @@ def report_components(model: MixtureModel, d: Dataset) -> list[dict]:
                 dropped.add(j)
             else:
                 active.append(j)
-        # per-row observed-information weights of the component's beta
-        v = countglm._row_derivs(model.family, d.y, np.exp(d.X @ comp.beta), comp.alpha)[1]
-        Xa = d.X[:, active]
-        wts = np.where(r > 0.0, r * v, 0.0)
-        info = Xa.T @ (Xa * wts[:, None])
         try:
-            cov = np.linalg.inv(info)
+            cov = np.linalg.inv(info[g][np.ix_(active, active)])
             with np.errstate(invalid="ignore"):
                 se_active = np.sqrt(np.diag(cov))
         except np.linalg.LinAlgError:

@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import countglm
 from .countglm import ALPHA_MAX, ALPHA_MIN, NB2, validate_family
@@ -78,18 +77,32 @@ def _as_seedseq(seed) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed)
 
 
-def _check_components(components, d: Dataset):
-    if not components:
-        raise DomainError("mixture needs at least one component")
+def _mixing_weights(components) -> np.ndarray:
+    """The components' weights pi_g, checked to be positive and to sum to 1."""
     pis = np.array([c.pi for c in components], dtype=float)
     if np.any(pis <= 0.0):
         raise DomainError("all mixture weights must be positive")
     if abs(pis.sum() - 1.0) > 1e-8:
         raise DomainError(f"mixture weights sum to {pis.sum()}, expected 1")
-    for c in components:
-        if np.asarray(c.beta).shape != (d.p + 1,):
-            raise DimensionError("component beta length does not match dataset")
     return pis
+
+
+def _component_stacks(components, d: Dataset, family: str):
+    """The components as the block kernel's (beta, alpha) stacks.
+
+    Returns the coefficients as a (G, k) array and the dispersions as a
+    (G, 1) column, or None for Poisson, after checking the family, the
+    coefficient lengths and, for NB-2, that every alpha is positive.
+    """
+    validate_family(family)
+    if not components:
+        raise DomainError("mixture needs at least one component")
+    beta = np.array([countglm._beta(c.beta, d) for c in components])
+    if family != NB2:
+        return beta, None
+    for c in components:
+        countglm._check_alpha(c.alpha)
+    return beta, np.array([[c.alpha] for c in components], dtype=float)
 
 
 def log_density_matrix(components, d: Dataset, family: str) -> np.ndarray:
@@ -97,21 +110,13 @@ def log_density_matrix(components, d: Dataset, family: str) -> np.ndarray:
 
     Built in one stacked evaluation by ``countglm._density_rows``, as in
     :func:`em_fit`.  A component whose linear predictor is not finite, or
-    whose NB-2 density is NaN, raises the :class:`NumericOverflowError`
-    of its one-row density.
+    whose NB-2 density is NaN, raises its :class:`NumericOverflowError`.
     """
-    validate_family(family)
-    beta = np.array([countglm._beta(c.beta, d) for c in components])
-    alpha = None
-    if family == NB2:
-        for c in components:
-            countglm._check_alpha(c.alpha)
-        alpha = np.array([[c.alpha] for c in components], dtype=float)
+    beta, alpha = _component_stacks(components, d, family)
     with np.errstate(**countglm._QUIET):
         logf, bad = countglm._density_rows(family, beta, alpha, d)
     if bad.any():
-        g = int(np.flatnonzero(bad)[0])
-        raise countglm._overflow_error(family, beta[g], None if alpha is None else alpha[g, 0], d)
+        raise countglm._overflow_error(family, beta, alpha, d, int(np.flatnonzero(bad)[0]))
     return np.ascontiguousarray(logf.T)
 
 
@@ -180,7 +185,7 @@ def _warn_zero_density(count: int, stacklevel: int) -> None:
 
 def mixture_loglik(components, d: Dataset, family: str) -> float:
     """Observed-data log-likelihood sum_i log sum_g pi_g f_g(y_i | x_i)."""
-    pis = _check_components(components, d)
+    pis = _mixing_weights(components)
     norm, _ = _posterior(log_density_matrix(components, d, family), pis)
     return float(norm.sum())
 
@@ -191,7 +196,7 @@ def e_step(components, d: Dataset, family: str) -> np.ndarray:
     Rows whose density underflows in every component get uniform
     responsibilities and a RuntimeWarning.
     """
-    pis = _check_components(components, d)
+    pis = _mixing_weights(components)
     norm, resp = _posterior(log_density_matrix(components, d, family), pis)
     lost = int(np.count_nonzero(~np.isfinite(norm)))
     if lost:
@@ -269,11 +274,9 @@ def m_step(resp: np.ndarray, d: Dataset, family: str, prev=None):
     for w in resp.T:
         countglm._weights(d, w)
     if prev is not None:  # components to the Newton driver's rows
-        rows = np.array([countglm._beta(c.beta, d) for c in prev])
-        if family == NB2:
-            alphas = np.clip([c.alpha for c in prev], ALPHA_MIN, ALPHA_MAX)
-            rows = np.column_stack([rows, np.log(alphas)])
-        prev = rows
+        prev, alpha = _component_stacks(prev, d, family)
+        if alpha is not None:
+            prev = np.column_stack([prev, np.log(np.clip(alpha, ALPHA_MIN, ALPHA_MAX))])
     pis, x, failures = _m_step(resp[None], d, family, prev)
     if failures[0] is not None:
         raise failures[0]
@@ -320,7 +323,7 @@ def init_by_count_mixture(d: Dataset, G: int, seed=0) -> np.ndarray:
         if lam[g] <= lam[g - 1]:
             lam[g] = lam[g - 1] * (1.0 + 0.05 * (1.0 + rng.random()))
     pis = np.full(G, 1.0 / G)
-    lgy = gammaln(y + 1.0)
+    lgy = d.log_y_factorial
     resp = None
     for _ in range(INIT_EM_ITER):
         logf = y[:, None] * np.log(lam)[None, :] - lam[None, :] - lgy[:, None]
@@ -385,8 +388,7 @@ def _run_em(d, family, resp0, tol, max_iter):
             logf, bad = countglm._density_rows(family, x[:, :k], alpha, d)
         if bad.any():
             for c in np.flatnonzero(bad)[::-1]:  # the first bad component names the error
-                a_c = None if alpha is None else float(alpha[c, 0])
-                outcome[live[c // G]] = countglm._overflow_error(family, x[c, :k], a_c, d)
+                outcome[live[c // G]] = countglm._overflow_error(family, x[:, :k], alpha, d, c)
             keep = ~bad.reshape(-1, G).any(axis=1)
             live, pis, x = live[keep], pis[keep], x[np.repeat(keep, G)]
             logf = logf[np.repeat(keep, G)]

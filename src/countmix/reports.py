@@ -8,6 +8,8 @@ invocation.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import os
 import tempfile
@@ -45,79 +47,57 @@ def write_text_atomic(path, text: str) -> None:
         raise
 
 
+def _csv_text(header, rows, quoted: int = 0) -> str:
+    """A CSV table written by the csv module, one newline-ended line per row.
+
+    A cell is quoted where it needs it, such as a name holding a comma or
+    a quote; the first ``quoted`` cells of every data row always are.
+    """
+    buf = io.StringIO()
+    minimal = csv.writer(buf, lineterminator="\n")
+    leading = csv.writer(buf, quoting=csv.QUOTE_ALL, lineterminator=",")
+    minimal.writerow(header)
+    for row in rows:
+        if quoted:
+            leading.writerow(row[:quoted])
+        minimal.writerow(row[quoted:])
+    return buf.getvalue()
+
+
 def labels_csv_text(labels) -> str:
-    lines = ["label"]
-    lines.extend(str(int(v)) for v in labels)
-    return "\n".join(lines) + "\n"
+    return _csv_text(["label"], ([int(v)] for v in labels))
 
 
 def scores_csv(rows) -> str:
-    lines = ["G,logL,n_k,AIC,SBC,CAIC,ICOMP"]
-    for row in rows:
-        if row.error is not None:
-            lines.append(f"{row.G},,,,,,")
-            continue
-        lines.append(
-            ",".join(
-                [
-                    str(row.G),
-                    fmt_cell(row.logL),
-                    str(row.n_k),
-                    fmt_cell(row.aic),
-                    fmt_cell(row.sbc),
-                    fmt_cell(row.caic),
-                    fmt_cell(row.icomp),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    cells = (
+        [row.G] + [""] * 6
+        if row.error is not None
+        else list(map(fmt_cell, (row.G, row.logL, row.n_k, row.aic, row.sbc, row.caic, row.icomp)))
+        for row in rows
+    )
+    return _csv_text(["G", "logL", "n_k", "AIC", "SBC", "CAIC", "ICOMP"], cells)
 
 
 def ga_csv(records) -> str:
-    lines = ["subset,rel_freq,AIC,CAIC,SBC"]
-    for rec in records:
-        lines.append(
-            ",".join(
-                [
-                    '"' + rec.mask.render() + '"',
-                    fmt_cell(float(rec.rel_freq)),
-                    fmt_cell(rec.aic),
-                    fmt_cell(rec.caic),
-                    fmt_cell(rec.sbc),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    rows = (
+        [rec.mask.render(), *map(fmt_cell, (float(rec.rel_freq), rec.aic, rec.caic, rec.sbc))]
+        for rec in records
+    )
+    return _csv_text(["subset", "rel_freq", "AIC", "CAIC", "SBC"], rows, quoted=1)
 
 
 def components_csv(tables) -> str:
-    lines = ["component,variable,beta,se,lo_2.5,hi_97.5"]
-    for table in tables:
-        for row in table["rows"]:
-            lines.append(
-                ",".join(
-                    [
-                        str(table["component"]),
-                        row["name"],
-                        fmt_cell(row["beta"]),
-                        fmt_cell(row["se"]),
-                        fmt_cell(row["lo"]),
-                        fmt_cell(row["hi"]),
-                    ]
-                )
-            )
-    return "\n".join(lines) + "\n"
+    rows = (
+        [table["component"], row["name"], *(fmt_cell(row[c]) for c in ("beta", "se", "lo", "hi"))]
+        for table in tables
+        for row in table["rows"]
+    )
+    return _csv_text(["component", "variable", "beta", "se", "lo_2.5", "hi_97.5"], rows)
 
 
 def summary_csv(stats) -> str:
-    lines = ["name,mean,sd,min,max"]
-    for name, cs in stats.items():
-        lines.append(
-            ",".join(
-                [name, fmt_cell(cs.mean), fmt_cell(cs.sd), fmt_cell(cs.min), fmt_cell(cs.max)]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    rows = ([name, *map(fmt_cell, (cs.mean, cs.sd, cs.min, cs.max))] for name, cs in stats.items())
+    return _csv_text(["name", "mean", "sd", "min", "max"], rows)
 
 
 def score_row_dict(row: ScoreRow) -> dict:

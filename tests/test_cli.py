@@ -329,6 +329,66 @@ class TestGa:
         assert not out.exists()
 
 
+class TestFlagsRejectedBeforeAnyFit:
+    """Unusable model and GA flags exit 2 before the family gate or any EM fit."""
+
+    @pytest.fixture
+    def no_fits(self, monkeypatch):
+        import countmix.countglm as countglm_mod
+        import countmix.ga as ga_mod
+        import countmix.mixture as mixture_mod
+        import countmix.selection as selection_mod
+
+        calls = []
+
+        def refuse(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("a fit ran before the flags were checked")
+
+        for module in (mixture_mod, selection_mod, ga_mod, cli_mod):
+            monkeypatch.setattr(module, "em_fit", refuse)
+        monkeypatch.setattr(countglm_mod, "fit_nb2", refuse)
+        return calls
+
+    @pytest.mark.parametrize("command", ["sweep", "ga"])
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--gmax", "0"],
+            ["--restarts", "0"],
+            ["--alpha-threshold", "nan"],
+            ["--alpha-threshold", "inf"],
+            ["--alpha-threshold", "-0.1"],
+        ],
+        ids=["gmax0", "restarts0", "alpha_nan", "alpha_inf", "alpha_negative"],
+    )
+    def test_model_flags(self, sim_dir, tmp_path, capsys, no_fits, command, flags):
+        out = tmp_path / "out"
+        argv = [
+            command, "--data", str(sim_dir / "data.csv"), "--outcome", "y",
+            "--covariates", "x", "--seed", "1", *flags, "--out", str(out),
+        ]
+        assert run(argv) == 2
+        assert no_fits == []
+        assert flags[0] in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--runs", "0"], ["--pop", "2"], ["--mut", "2"], ["--g", "0"], ["--g", "two"]],
+        ids=["runs0", "pop2", "mut2", "g0", "g_text"],
+    )
+    def test_ga_flags(self, sim_dir, tmp_path, no_fits, flags):
+        out = tmp_path / "out"
+        argv = [
+            "ga", "--data", str(sim_dir / "data.csv"), "--outcome", "y",
+            "--covariates", "x", "--seed", "1", *flags, "--out", str(out),
+        ]
+        assert run(argv) == 2
+        assert no_fits == []
+        assert not out.exists()
+
+
 class TestSummary:
     def test_prints_and_writes(self, sim_dir, tmp_path, capsys):
         out = tmp_path / "summ"
@@ -343,6 +403,22 @@ class TestSummary:
         assert "mean" in captured
         rows = list(csv.DictReader(open(out / "summary.csv")))
         assert rows[0]["name"] == "y"
+
+    def test_name_with_comma_round_trips(self, tmp_path):
+        path = tmp_path / "named.csv"
+        path.write_text('"cases, 2010",x\n1,0.5\n3,1.5\n4,2.5\n', encoding="utf-8")
+        out = tmp_path / "summ"
+        code = run(
+            [
+                "summary", "--data", str(path), "--outcome", "cases, 2010",
+                "--covariates", "x", "--out", str(out),
+            ]
+        )
+        assert code == 0
+        with open(out / "summary.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert [len(r) for r in rows] == [5, 5, 5]
+        assert [r[0] for r in rows] == ["name", "cases, 2010", "x"]
 
     def test_unknown_outcome_exits_2(self, sim_dir):
         code = run(

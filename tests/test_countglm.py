@@ -57,6 +57,12 @@ class TestPoissonLoglik:
         with pytest.raises(NumericOverflowError) as err:
             poisson_loglik(np.array([1e308, 1e308]), d)
         assert err.value.row is not None
+        # the smallest positive alpha makes theta = 1/alpha infinite: every
+        # row with y > 0 then has a NaN NB-2 density at a finite eta
+        d = Dataset(y=np.array([0, 0, 3, 1]), X=np.ones((4, 1)), names=())
+        with pytest.raises(NumericOverflowError, match="NB-2 log-density") as err:
+            nb2_loglik(np.zeros(1), 5e-324, d)
+        assert err.value.row == 2
 
 
 class TestNb2Loglik:
@@ -119,8 +125,11 @@ class TestGradients:
             )[0]
             assert np.max(np.abs(g - fd) / (1.0 + np.abs(fd))) < 1e-5
 
-    # 1e-7 and 1e-9 put theta = 1/alpha above 1e6, on the rising-sum branch
-    @pytest.mark.parametrize("alpha", [1e-9, 1e-7, 1e-3, 0.3, 2.0, 50.0])
+    # 1e-7 and 1e-9 put theta = 1/alpha above 1e6, on the rising-sum branch;
+    # the "poisson" case checks the Poisson gradient and information over beta
+    @pytest.mark.parametrize(
+        "alpha", [1e-9, 1e-7, 1e-3, 0.3, 2.0, 50.0, pytest.param(None, id="poisson")]
+    )
     def test_nb2_joint_information_matches_fd(self, alpha):
         rng = np.random.default_rng(13)
         n = 80
@@ -128,14 +137,17 @@ class TestGradients:
         y = rng.poisson(np.exp(1.0 + 0.3 * X[:, 1]) * rng.gamma(2.0, 0.5, n))
         d = Dataset(y=y, X=X, names=("a", "b"))
         w = rng.uniform(0.0, 1.0, n)
-        x = np.array([0.9, 0.25, 0.1, np.log(alpha)])  # (beta, log alpha)
-        grad, info = (a[0] for a in countglm._derivs("nb2", x[None], d, w[None]))
+        family = "poisson" if alpha is None else "nb2"
+        x = np.array([0.9, 0.25, 0.1])  # beta, then log alpha for NB-2
+        if alpha is not None:
+            x = np.append(x, np.log(alpha))
+        grad, info = (a[0] for a in countglm._derivs(family, x[None], d, w[None]))
         fd_grad = jacobian_central(
-            lambda t: countglm._loglik("nb2", t[None], d, w[None]), x, rel_step=1e-6
+            lambda t: countglm._loglik(family, t[None], d, w[None]), x, rel_step=1e-6
         )[0]
         assert np.max(np.abs(grad - fd_grad) / (1.0 + np.abs(fd_grad))) < 1e-5
         J = jacobian_central(
-            lambda t: countglm._derivs("nb2", t[None], d, w[None])[0][0], x, rel_step=1e-6
+            lambda t: countglm._derivs(family, t[None], d, w[None])[0][0], x, rel_step=1e-6
         )
         fd_info = -(J + J.T) / 2.0
         np.testing.assert_allclose(info, info.T, rtol=1e-12)

@@ -60,6 +60,9 @@ class TestGaConfig:
             {"mutation_rate": -0.1},
             {"runs": 0},
             {"criterion": "dic"},
+            {"restarts": 0},
+            {"g_max": 0},
+            {"G": 0},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):

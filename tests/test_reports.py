@@ -1,17 +1,21 @@
+import csv
+import io
 import json
 import os
 
 import numpy as np
 import pytest
 
-from countmix import CovariateMask, SubsetRecord
+from countmix import ColumnStats, CovariateMask, SubsetRecord
 from countmix.criteria import ScoreRow
 from countmix.reports import (
+    components_csv,
     fmt_cell,
     ga_csv,
     report_json,
     sanitize,
     scores_csv,
+    summary_csv,
     write_text_atomic,
 )
 
@@ -63,6 +67,29 @@ class TestScoresCsv:
             icomp=None, ifim_condition=None, error="collapsed",
         )
         assert scores_csv([row]).strip().splitlines()[1] == "3,,,,,,"
+
+
+class TestNameCells:
+    """Covariate and column names holding commas or quotes round-trip through csv."""
+
+    NAMES = ("plain", "cases, 2010", 'say "hi"')
+
+    def test_components_csv_round_trips(self):
+        rows = [
+            {"name": name, "beta": 0.5, "se": 0.1, "lo": 0.304, "hi": 0.696}
+            for name in self.NAMES
+        ]
+        text = components_csv([{"component": 1, "rows": rows}])
+        parsed = list(csv.reader(io.StringIO(text)))
+        assert [len(r) for r in parsed] == [6] * 4
+        assert [r[1] for r in parsed[1:]] == list(self.NAMES)
+        assert text.splitlines()[1] == "1,plain,0.5,0.1,0.304,0.696"
+
+    def test_summary_csv_round_trips(self):
+        stats = {name: ColumnStats(mean=1.0, sd=0.5, min=0.0, max=2.0) for name in self.NAMES}
+        parsed = list(csv.reader(io.StringIO(summary_csv(stats))))
+        assert [len(r) for r in parsed] == [5] * 4
+        assert [r[0] for r in parsed[1:]] == list(self.NAMES)
 
 
 class TestSanitize:
