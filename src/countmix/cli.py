@@ -31,12 +31,23 @@ from .errors import (
     DimensionError,
     DomainError,
     EmptyDataError,
+    NoScoreError,
     ParseError,
     SchemaError,
     SweepError,
 )
-from .ga import GaConfig, SubsetRecord, component_summaries, evolve, fitness, report_components
-from .mixture import em_fit
+from .ga import (
+    AUTO,
+    PER_MASK,
+    GaConfig,
+    SubsetRecord,
+    component_summaries,
+    evolve,
+    fit_mask,
+    mask_row,
+    report_components,
+    resolve_g,
+)
 from .reports import (
     RunReport,
     components_csv,
@@ -137,11 +148,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_ga.add_argument("--mut", type=float, default=None, help="per-bit mutation rate (default 1/p)")
     p_ga.add_argument("--cx", type=float, default=0.8, help="crossover rate")
     p_ga.add_argument("--elitism", type=int, default=2, help="chromosomes carried unchanged")
-    p_ga.add_argument("--g", default="auto", help="component count for fitness fits, or 'auto'")
+    p_ga.add_argument(
+        "--g",
+        default="auto",
+        help="component count for fitness fits, or 'auto' (chosen by one sweep of the full model)",
+    )
     p_ga.add_argument(
         "--resweep-g",
         action="store_true",
-        help="re-select G per mask instead of fixing it once (costly)",
+        help="re-select G per mask by a sweep of each mask (costly); not with a numeric --g",
     )
     p_ga.add_argument(
         "--force-mask",
@@ -233,11 +248,13 @@ def _invocation(command: str, recorded: list[str], seed: int) -> dict:
     }
 
 
-def _summaries(model, d: Dataset) -> list:
-    return [
+def _tables(model, d: Dataset) -> tuple[list, list]:
+    """A report's component tables (none unless converged) and per-component summaries."""
+    summaries = [
         {name: vars(cs) for name, cs in stats.items()} if stats is not None else None
         for stats in component_summaries(model, d)
     ]
+    return (report_components(model, d) if model.converged else []), summaries
 
 
 def _check_model_flags(args) -> None:
@@ -265,16 +282,9 @@ def cmd_sweep(args, argv: list[str]) -> int:
         family=args.family,
         alpha_threshold=args.alpha_threshold,
     )
-    selected = result.best.get(criterion)
-    if selected is None:
-        selected = next(iter(sorted(result.best.values())), None)
-    components: list = []
-    summaries: list = []
-    if selected is not None and selected in result.models:
-        model = result.models[selected]
-        if model.converged:
-            components = report_components(model, d)
-        summaries = _summaries(model, d)
+    # the criterion's G, or else the smallest G another criterion chose
+    selected = result.best.get(criterion, min(result.best.values(), default=None))
+    components, summaries = ([], []) if selected is None else _tables(result.models[selected], d)
     report = RunReport(
         invocation=_invocation("sweep", recorded, seed),
         family=result.family_used,
@@ -294,14 +304,19 @@ def cmd_sweep(args, argv: list[str]) -> int:
     return EXIT_OK
 
 
-def _parse_g(text: str) -> int | None:
-    """The --g flag as a component count, or None for 'auto'."""
-    if text.lower() == "auto":
-        return None
+def _parse_g(args) -> int | str:
+    """The GA's component count from --g and --resweep-g."""
+    text = args.g.lower()
+    if args.resweep_g:
+        if text != AUTO:
+            raise _InputProblem(f"--resweep-g re-selects G per mask; drop --g {args.g}")
+        return PER_MASK
+    if text == AUTO:
+        return AUTO
     try:
         return int(text)
     except ValueError:
-        raise _InputProblem(f"--g must be an integer or 'auto', got {text!r}") from None
+        raise _InputProblem(f"--g must be an integer or 'auto', got {args.g!r}") from None
 
 
 def cmd_ga(args, argv: list[str]) -> int:
@@ -316,49 +331,27 @@ def cmd_ga(args, argv: list[str]) -> int:
         mutation_rate=args.mut,
         elitism=args.elitism,
         criterion=criterion,
-        G=None if args.resweep_g else _parse_g(args.g),
+        G=_parse_g(args),
         runs=args.runs,
         seed=seed,
         restarts=args.restarts,
         g_max=args.gmax,
-        select_g_per_mask=args.resweep_g,
     )
     d = _load_dataset(args)
     force_mask = _parse_mask(args.force_mask, d.p) if args.force_mask is not None else None
     family = choose_family(d, args.alpha_threshold) if args.family == "auto" else args.family
-    G = cfg.G
-    if G is None and not args.resweep_g:
-        full = sweep(d, args.gmax, seed=seed, restarts=args.restarts, family=family)
-        G = full.best_G(criterion)
-    cache: dict = {}
-    if force_mask is not None:
-        fitness(
-            force_mask, d, G, family, criterion, cache,
-            seed=seed, restarts=args.restarts, g_max=args.gmax,
-        )
-        row = cache[force_mask.key]
-        if row is None or row.error is not None:
-            raise CountmixError(f"forced mask {force_mask.render()!r} failed to fit")
-        records = [
-            SubsetRecord(mask=force_mask, aic=row.aic, caic=row.caic, sbc=row.sbc, wins=1, runs=1)
-        ]
-    else:
-        records = evolve(d, replace(cfg, G=G), family=family)
-
-    winner = records[0].mask
-    sub = apply_mask(d, winner)
-    if G is None:
-        win_sweep = sweep(sub, args.gmax, seed=seed, restarts=args.restarts, family=family)
-        model = win_sweep.models[win_sweep.best_G(criterion)]
-    else:
-        model = em_fit(sub, G, family, seed=seed, restarts=args.restarts)
-        if model.G != G:
-            raise CountmixError(
-                f"winning mask {winner.render()!r} refit with {model.G} components, "
-                f"not the requested G={G}"
-            )
-    components = report_components(model, sub) if model.converged else []
-    summaries = _summaries(model, sub)
+    cfg = replace(cfg, G=resolve_g(d, cfg, family))
+    records = evolve(d, cfg, family=family) if force_mask is None else None
+    winner = records[0].mask if force_mask is None else force_mask
+    rows, models = fit_mask(
+        winner, d, cfg.G, family, seed=seed, restarts=args.restarts, g_max=args.gmax
+    )
+    row = mask_row(rows, cfg.G, criterion)
+    if row is None:
+        raise NoScoreError(f"criterion {criterion!r} unavailable for mask {winner.render()!r}")
+    records = records or [SubsetRecord.of(winner, row, 1, 1)]
+    model = models[row.G]
+    components, summaries = _tables(model, apply_mask(d, winner))
     ga_payload = [
         {
             "subset": rec.mask.render(),
@@ -469,10 +462,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args, argv)
-    except _InputProblem as exc:
-        print(f"countmix: input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except _INPUT_ERRORS as exc:
+    except (_InputProblem, *_INPUT_ERRORS) as exc:
         print(f"countmix: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except CountmixError as exc:

@@ -147,14 +147,20 @@ def observed_info(model: MixtureModel, d: Dataset) -> np.ndarray:
     return info
 
 
-def _check_symmetric(info: np.ndarray) -> np.ndarray:
+def _eigenvalues(info) -> np.ndarray:
+    """Eigenvalues of a square, symmetric information matrix."""
     info = np.asarray(info, dtype=float)
     if info.ndim != 2 or info.shape[0] != info.shape[1]:
         raise DomainError("information matrix must be square")
     scale = max(1.0, float(np.max(np.abs(info))))
     if np.max(np.abs(info - info.T)) > 1e-8 * scale:
         raise DomainError("information matrix must be symmetric")
-    return info
+    return np.linalg.eigvalsh(info)
+
+
+def _c1(eig: np.ndarray) -> float:
+    """C1 from the eigenvalues of a symmetric PD matrix."""
+    return 0.5 * eig.size * math.log(eig.mean()) - 0.5 * float(np.log(eig).sum())
 
 
 def c1_complexity(sigma: np.ndarray) -> float:
@@ -163,12 +169,19 @@ def c1_complexity(sigma: np.ndarray) -> float:
     C1 = (s/2) log(trace/s) - (1/2) log det; zero exactly for scalar
     multiples of the identity, positive otherwise (AM-GM on eigenvalues).
     """
-    sigma = _check_symmetric(sigma)
-    eig = np.linalg.eigvalsh(sigma)
+    eig = _eigenvalues(sigma)
     if eig.min() <= 0:
         raise DomainError("matrix must be positive definite")
-    s = sigma.shape[0]
-    return 0.5 * s * math.log(eig.mean()) - 0.5 * float(np.log(eig).sum())
+    return _c1(eig)
+
+
+def _icomp(logL: float, eig: np.ndarray) -> float | None:
+    top = eig.max()
+    if top <= 0.0 or eig.min() <= EIG_FLOOR * top:
+        return None
+    if top / eig.min() > COND_CAP:
+        return None
+    return -2.0 * logL + 2.0 * _c1(1.0 / eig)
 
 
 def icomp(logL: float, info: np.ndarray) -> float | None:
@@ -177,25 +190,16 @@ def icomp(logL: float, info: np.ndarray) -> float | None:
     Instability means a non-positive or relatively tiny eigenvalue
     (<= EIG_FLOOR * max eigenvalue) or a condition number above COND_CAP.
     """
-    info = _check_symmetric(info)
-    eig = np.linalg.eigvalsh(info)
-    top = eig.max()
-    if top <= 0.0 or eig.min() <= EIG_FLOOR * top:
-        return None
-    if top / eig.min() > COND_CAP:
-        return None
-    inv_eig = 1.0 / eig
-    s = info.shape[0]
-    c1 = 0.5 * s * math.log(inv_eig.mean()) - 0.5 * float(np.log(inv_eig).sum())
-    return -2.0 * logL + 2.0 * c1
+    return _icomp(logL, _eigenvalues(info))
+
+
+def _condition(eig: np.ndarray) -> float | None:
+    return None if eig.min() <= 0.0 else float(eig.max() / eig.min())
 
 
 def ifim_condition(info: np.ndarray) -> float | None:
     """Condition number of the information matrix; None if not PD."""
-    eig = np.linalg.eigvalsh(_check_symmetric(info))
-    if eig.min() <= 0.0:
-        return None
-    return float(eig.max() / eig.min())
+    return _condition(_eigenvalues(info))
 
 
 def score_model(model: MixtureModel, d: Dataset, with_icomp: bool = True) -> ScoreRow:
@@ -211,9 +215,9 @@ def score_model(model: MixtureModel, d: Dataset, with_icomp: bool = True) -> Sco
     cond: float | None = None
     if with_icomp and model.converged:
         try:
-            info = observed_info(model, d)
-            cond = ifim_condition(info)
-            row_icomp = icomp(model.logL, info)
+            eig = _eigenvalues(observed_info(model, d))
+            cond = _condition(eig)
+            row_icomp = _icomp(model.logL, eig)
         except InformationMatrixError:
             row_icomp = None
             cond = None

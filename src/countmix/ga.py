@@ -8,13 +8,13 @@ generations without affecting results.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import countglm
-from .countglm import NB2, POISSON
 from .criteria import ScoreRow, score_model
 from .data import (
     ColumnStats,
@@ -24,14 +24,30 @@ from .data import (
     subset_rows,
     summary_stats,
 )
-from .errors import CountmixError, DomainError
+from .errors import CountmixError, DomainError, NoScoreError
 from .mixture import MixtureModel, _component_stacks, em_fit
-from .selection import DEFAULT_G_MAX, choose_family, normalize_criterion, sweep
+from .selection import (
+    DEFAULT_G_MAX,
+    _criterion_value,
+    choose_family,
+    normalize_criterion,
+    select_best,
+    sweep,
+)
 
 WALD_Z = 1.96
 # a covariate is treated as constant inside a component below this
 # responsibility-weighted variance
 CONSTANT_VAR_TOL = 1e-12
+# the component-count settings besides a fixed positive G
+AUTO = "auto"
+PER_MASK = "per-mask"
+
+
+def _check_g(G, words: tuple[str, ...]) -> None:
+    """Raise DomainError unless G is a positive integer or one of ``words``."""
+    if not (G in words if isinstance(G, str) else isinstance(G, numbers.Integral) and G >= 1):
+        raise DomainError(f"G must be a positive integer or one of {words}, got {G!r}")
 
 
 @dataclass(frozen=True)
@@ -39,10 +55,11 @@ class GaConfig:
     """GA hyperparameters; the defaults favor small, well-cached searches.
 
     ``runs`` independent GA runs are aggregated into winner frequencies,
-    so 200 runs gives 0.5% frequency granularity.  ``G=None`` means the
-    component count is chosen by a sweep of the full model before the GA
-    starts; ``select_g_per_mask`` instead re-selects G for every mask
-    (much costlier).
+    so 200 runs gives 0.5% frequency granularity.  ``G`` is the component
+    count of every mask fit: a positive integer fixes it; ``"auto"`` fixes
+    it at the count ``criterion`` picks in one sweep of the full model
+    (G = 1..g_max) before the GA starts; ``"per-mask"`` re-selects it for
+    every mask by a sweep of that mask (much costlier).
     """
 
     pop_size: int = 30
@@ -51,12 +68,11 @@ class GaConfig:
     mutation_rate: float | None = None  # None -> 1/p at runtime
     elitism: int = 2
     criterion: str = "caic"
-    G: int | None = None
+    G: int | str = AUTO
     runs: int = 200
     seed: int = 0
     restarts: int = 5
     g_max: int = DEFAULT_G_MAX
-    select_g_per_mask: bool = False
 
     def __post_init__(self):
         if self.pop_size < 4:
@@ -69,9 +85,18 @@ class GaConfig:
             raise DomainError("mutation_rate must be in [0, 1]")
         if self.runs < 1 or self.generations < 1:
             raise DomainError("runs and generations must be >= 1")
-        if self.restarts < 1 or self.g_max < 1 or (self.G is not None and self.G < 1):
-            raise DomainError("restarts, g_max and a fixed G must be >= 1")
+        if self.restarts < 1 or self.g_max < 1:
+            raise DomainError("restarts and g_max must be >= 1")
+        _check_g(self.G, (AUTO, PER_MASK))
         normalize_criterion(self.criterion)
+
+
+def resolve_g(d: Dataset, cfg: GaConfig, family: str) -> int | str:
+    """``cfg.G``, with ``"auto"`` replaced by ``cfg.criterion``'s pick in one sweep of d."""
+    if cfg.G != AUTO:
+        return cfg.G
+    full = sweep(d, cfg.g_max, seed=cfg.seed, restarts=cfg.restarts, family=family)
+    return select_best(full.rows, cfg.criterion)
 
 
 @dataclass(frozen=True)
@@ -85,45 +110,61 @@ class SubsetRecord:
     wins: int
     runs: int
 
+    @classmethod
+    def of(cls, mask: CovariateMask, row: ScoreRow | None, wins: int, runs: int) -> SubsetRecord:
+        """The record of ``mask`` with the criteria of ``row``, NaN without one."""
+        aic, caic, sbc = (np.nan,) * 3 if row is None else (row.aic, row.caic, row.sbc)
+        return cls(mask=mask, aic=aic, caic=caic, sbc=sbc, wins=wins, runs=runs)
+
     @property
     def rel_freq(self) -> Fraction:
         return Fraction(self.wins, self.runs)
 
 
-def _score_mask(mask, d, G, family, cache, seed, restarts, criterion, g_max):
-    """ScoreRow for a mask (memoized); None records a failed fit.
+def fit_mask(
+    mask: CovariateMask, d: Dataset, G: int | str, family: str, seed=0, restarts: int = 5,
+    g_max: int = DEFAULT_G_MAX, with_icomp: bool = False,
+) -> tuple[tuple[ScoreRow, ...], dict[int, MixtureModel]]:
+    """Score rows and fitted models, by G, of the mixture refit on the masked design.
 
-    A fixed-G row carries ICOMP only when ICOMP is the criterion, since
-    its observed information costs about as much as the fit; a cached
-    row without ICOMP is scored again when an ICOMP lookup reaches it.
+    At a fixed G this is one :func:`em_fit`, scored with ICOMP only if
+    ``with_icomp``; a fit that collapses to fewer components is not a fit
+    at G and raises :class:`CountmixError`.  At ``"per-mask"`` G it is a
+    sweep of G = 1..g_max.
     """
-    key = mask.key
-    if key in cache:
-        row = cache[key]
-        if criterion != "icomp" or row is None or row.icomp is not None:
-            return row
     sub = apply_mask(d, mask)
-    try:
-        if G is None:
-            res = sweep(sub, g_max, seed=seed, restarts=restarts, family=family)
-            row = next(r for r in res.rows if r.G == res.best_G(criterion))
-        else:
-            model = em_fit(sub, G, family, seed=seed, restarts=restarts)
-            # a collapsed fit has fewer components and is not a score at G
-            if model.G == G:
-                row = score_model(model, sub, with_icomp=criterion == "icomp")
-            else:
-                row = None
-    except CountmixError:
-        row = None
-    cache[key] = row
-    return row
+    if G == PER_MASK:
+        res = sweep(sub, g_max, seed=seed, restarts=restarts, family=family)
+        return res.rows, res.models
+    model = em_fit(sub, G, family, seed=seed, restarts=restarts)
+    if model.G != G:
+        raise CountmixError(
+            f"mask {mask.render()!r} refit with {model.G} components, not the requested G={G}"
+        )
+    return (score_model(model, sub, with_icomp=with_icomp),), {G: model}
+
+
+def mask_row(rows, G: int | str, criterion: str) -> ScoreRow | None:
+    """The row of :func:`fit_mask`'s ``rows`` that scores the mask.
+
+    That is the one row at a fixed G, and at ``"per-mask"`` G the row
+    whose G ``criterion`` selects.  None when the fit failed (``rows`` is
+    None) or no row has a ``criterion`` score.
+    """
+    if rows is None:
+        return None
+    if G == PER_MASK:
+        try:
+            G = select_best(rows, criterion)
+        except NoScoreError:
+            return None
+    return next(r for r in rows if r.G == G)
 
 
 def fitness(
     mask: CovariateMask,
     d: Dataset,
-    G: int | None,
+    G: int | str,
     family: str,
     criterion: str,
     cache: dict,
@@ -133,17 +174,30 @@ def fitness(
 ) -> float:
     """Criterion value of the mixture refit on the masked design (lower wins).
 
+    ``G`` is a positive integer or ``"per-mask"`` (see :class:`GaConfig`).
     Failures score +inf, so a broken mask survives in the population but
-    can never win.  Results are memoized in ``cache`` by mask bits.
+    can never win.  ``cache`` memoizes :func:`fit_mask`'s rows (None for a
+    failed fit) by mask bits alone, so one cache belongs to one (d, G,
+    family, seed, restarts, g_max); criteria may share it.  A fixed-G row
+    carries ICOMP only when ICOMP is the criterion, since its observed
+    information costs about as much as the fit; a cached row without
+    ICOMP is scored again when an ICOMP lookup reaches it.
     """
     criterion = normalize_criterion(criterion)
-    row = _score_mask(mask, d, G, family, cache, seed, restarts, criterion, g_max)
-    if row is None or row.error is not None:
-        return np.inf
-    value = getattr(row, criterion)
-    if value is None or not np.isfinite(value):
-        return np.inf
-    return float(value)
+    _check_g(G, (PER_MASK,))
+    key, icomp = mask.key, criterion == "icomp"
+    rows = cache.get(key)
+    if key not in cache or (icomp and G != PER_MASK and rows is not None and rows[0].icomp is None):
+        try:
+            rows = fit_mask(
+                mask, d, G, family, seed=seed, restarts=restarts, g_max=g_max, with_icomp=icomp
+            )[0]
+        except CountmixError:
+            rows = None
+        cache[key] = rows
+    row = mask_row(rows, G, criterion)
+    value = None if row is None else _criterion_value(row, criterion)
+    return np.inf if value is None else value
 
 
 def evolve(d: Dataset, cfg: GaConfig, family: str | None = None) -> list[SubsetRecord]:
@@ -163,22 +217,14 @@ def evolve(d: Dataset, cfg: GaConfig, family: str | None = None) -> list[SubsetR
     criterion = normalize_criterion(cfg.criterion)
     if family is None:
         family = choose_family(d)
-    if family not in (POISSON, NB2):
-        raise DomainError(f"unknown family {family!r}")
-
-    if cfg.select_g_per_mask:
-        G = None
-    elif cfg.G is not None:
-        G = cfg.G
-    else:
-        full = sweep(d, cfg.g_max, seed=cfg.seed, restarts=cfg.restarts, family=family)
-        G = full.best_G(criterion)
+    countglm.validate_family(family)
+    G = resolve_g(d, cfg, family)
 
     p = d.p
     mut = cfg.mutation_rate if cfg.mutation_rate is not None else 1.0 / p
     n_children = cfg.pop_size - cfg.elitism
     pairs = (n_children + 1) // 2
-    cache: dict[bytes, ScoreRow | None] = {}
+    cache: dict[bytes, tuple[ScoreRow, ...] | None] = {}
     # fitness by mask key; a population's keys come from one view of its
     # rows as p-byte records, and equal CovariateMask.key
     values: dict[bytes, float] = {}
@@ -225,17 +271,7 @@ def evolve(d: Dataset, cfg: GaConfig, family: str | None = None) -> list[SubsetR
     records = []
     for key, count in win_counts.items():
         mask = CovariateMask(np.frombuffer(key, dtype=bool).copy())
-        row = cache.get(key)
-        if row is None or row.error is not None:
-            aic_v = caic_v = sbc_v = float("nan")
-        else:
-            aic_v, caic_v, sbc_v = row.aic, row.caic, row.sbc
-        records.append(
-            SubsetRecord(
-                mask=mask, aic=aic_v, caic=caic_v, sbc=sbc_v,
-                wins=count, runs=cfg.runs,
-            )
-        )
+        records.append(SubsetRecord.of(mask, mask_row(cache[key], G, criterion), count, cfg.runs))
     # ICOMP is a fine fitness but is not tabulated per record; fall back to
     # CAIC for ordering in that case.  Mask label is a stable final tie-break.
     crit_attr = {"aic": "aic", "sbc": "sbc", "caic": "caic", "icomp": "caic"}[criterion]

@@ -13,12 +13,10 @@ import io
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 import numpy as np
-
-from .criteria import ScoreRow
 
 
 def fmt_cell(value) -> str:
@@ -100,20 +98,6 @@ def summary_csv(stats) -> str:
     return _csv_text(["name", "mean", "sd", "min", "max"], rows)
 
 
-def score_row_dict(row: ScoreRow) -> dict:
-    return {
-        "G": row.G,
-        "logL": row.logL,
-        "n_k": row.n_k,
-        "aic": row.aic,
-        "sbc": row.sbc,
-        "caic": row.caic,
-        "icomp": row.icomp,
-        "ifim_condition": row.ifim_condition,
-        "error": row.error,
-    }
-
-
 def sanitize(obj):
     """Recursively convert to plain JSON-safe types; non-finite floats -> None."""
     if obj is None or isinstance(obj, (str, bool, int)):
@@ -158,15 +142,5 @@ class RunReport:
     warnings: list = field(default_factory=list)
 
     def to_payload(self) -> dict:
-        return {
-            "invocation": self.invocation,
-            "family": self.family,
-            "score_table": [score_row_dict(r) for r in self.score_table],
-            "chosen": self.chosen,
-            "selected_G": self.selected_G,
-            "criterion": self.criterion,
-            "components": self.components,
-            "summaries": self.summaries,
-            "ga_records": self.ga_records,
-            "warnings": list(self.warnings),
-        }
+        """The report as nested dicts and lists, score rows included."""
+        return asdict(self)

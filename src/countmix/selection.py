@@ -40,12 +40,6 @@ class SweepResult:
     models: dict[int, MixtureModel]
     warnings: tuple[str, ...] = field(default=())
 
-    def best_G(self, criterion: str) -> int:
-        """G chosen by ``criterion``; :class:`NoScoreError` if no row scored it."""
-        if criterion not in self.best:
-            raise NoScoreError(f"criterion {criterion!r} unavailable in every row")
-        return self.best[criterion]
-
 
 def choose_family(d: Dataset, threshold: float = DEFAULT_ALPHA_THRESHOLD) -> str:
     """Pick Poisson vs NB-2 from a single-component NB-2 fit.
@@ -109,7 +103,7 @@ def sweep(
     :class:`SweepError`.
     """
     if G_max < 1:
-        raise SweepError("G_max must be >= 1")
+        raise DomainError(f"G_max must be >= 1, got {G_max}")
     family_used = (
         choose_family(d, alpha_threshold) if family == "auto" else family
     )

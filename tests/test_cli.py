@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import countmix.cli as cli_mod
 from countmix.cli import main
 
 
@@ -279,12 +278,14 @@ class TestGa:
 
     def test_winner_refit_at_smaller_g_exits_3(self, sim_dir, tmp_path, capsys, monkeypatch):
         # a fixed-G run must not report a winner refit with fewer components
-        real_em_fit = cli_mod.em_fit
+        import countmix.ga as ga_mod
+
+        real_em_fit = ga_mod.em_fit
 
         def shrinking(d, G, family, **kwargs):
             return real_em_fit(d, G - 1, family, **kwargs)
 
-        monkeypatch.setattr(cli_mod, "em_fit", shrinking)
+        monkeypatch.setattr(ga_mod, "em_fit", shrinking)
         out = tmp_path / "ga_shrunk"
         code = run(
             [
@@ -299,6 +300,60 @@ class TestGa:
         assert "'1'" in err and "G=2" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    def test_resweep_g_reports_the_winner_sweep_choice(self, tmp_path):
+        # each mask is scored at its own G, and the report carries the G that
+        # a sweep of the winning mask chooses by CAIC; a rerun is byte-identical
+        from countmix import POISSON, CovariateMask, apply_mask, load_csv, sweep
+
+        rng = np.random.default_rng(1)
+        n = 120
+        x1, x2 = rng.normal(size=(2, n))
+        group = rng.random(n) < 0.5
+        y = rng.poisson(np.where(group, 2.0, 12.0) * np.exp(0.4 * x1))
+        path = tmp_path / "groups.csv"
+        lines = ["y,x1,x2"] + [
+            f"{int(y[i])},{float(x1[i])!r},{float(x2[i])!r}" for i in range(n)
+        ]
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "resweep"
+        argv = [
+            "ga", "--data", str(path), "--outcome", "y", "--covariates", "x1,x2",
+            "--seed", "5", "--gmax", "2", "--restarts", "1", "--family", "poisson",
+            "--resweep-g", "--runs", "4", "--pop", "6", "--gens", "3", "--out", str(out),
+        ]
+        assert run(argv) == 0
+        report = json.loads((out / "report.json").read_text())
+        winner = CovariateMask(np.array(report["ga_records"][0]["bits"]))
+        sub = apply_mask(load_csv(str(path), "y", ["x1", "x2"]), winner)
+        res = sweep(sub, 2, seed=5, restarts=1, family=POISSON)
+        assert report["selected_G"] == res.best["caic"]
+        files = ("report.json", "ga.csv", "components.csv")
+        first = [_read(out / f) for f in files]
+        assert run(argv) == 0
+        assert [_read(out / f) for f in files] == first
+
+    def test_auto_g_sweeps_the_full_model_once(self, sim_dir, tmp_path, monkeypatch):
+        import countmix.ga as ga_mod
+
+        calls = []
+        real_sweep = ga_mod.sweep
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real_sweep(*args, **kwargs)
+
+        monkeypatch.setattr(ga_mod, "sweep", counting)
+        code = run(
+            [
+                "ga", "--data", str(sim_dir / "data.csv"), "--outcome", "y",
+                "--covariates", "x", "--seed", "7", "--gmax", "2", "--restarts", "1",
+                "--family", "poisson", "--runs", "2", "--pop", "4", "--gens", "2",
+                "--out", str(tmp_path / "auto"),
+            ]
+        )
+        assert code == 0
+        assert len(calls) == 1  # no second sweep, and none per mask at the chosen G
 
     def test_icomp_unavailable_everywhere_exits_3(self, tmp_path, capsys):
         # a near-duplicate covariate leaves the observed information of the
@@ -345,7 +400,7 @@ class TestFlagsRejectedBeforeAnyFit:
             calls.append(args)
             raise AssertionError("a fit ran before the flags were checked")
 
-        for module in (mixture_mod, selection_mod, ga_mod, cli_mod):
+        for module in (mixture_mod, selection_mod, ga_mod):
             monkeypatch.setattr(module, "em_fit", refuse)
         monkeypatch.setattr(countglm_mod, "fit_nb2", refuse)
         return calls
@@ -375,8 +430,11 @@ class TestFlagsRejectedBeforeAnyFit:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--runs", "0"], ["--pop", "2"], ["--mut", "2"], ["--g", "0"], ["--g", "two"]],
-        ids=["runs0", "pop2", "mut2", "g0", "g_text"],
+        [
+            ["--runs", "0"], ["--pop", "2"], ["--mut", "2"], ["--g", "0"], ["--g", "two"],
+            ["--g", "3", "--resweep-g"], ["--g", "two", "--resweep-g"],
+        ],
+        ids=["runs0", "pop2", "mut2", "g0", "g_text", "g3_resweep", "g_text_resweep"],
     )
     def test_ga_flags(self, sim_dir, tmp_path, no_fits, flags):
         out = tmp_path / "out"
@@ -498,3 +556,23 @@ class TestIcompNeverATraceback:
             assert run(sweep) in (0, 2, 3)
             ga = ["ga", *common, "--g", "1", "--runs", "2", "--gens", "2"]
             assert run([*ga, "--out", os.path.join(tmp, "g")]) in (0, 2, 3)
+
+    @pytest.mark.parametrize(
+        "g_flags",
+        [["--g", "auto"], ["--resweep-g"], ["--force-mask", "all"]],
+        ids=["g_auto", "resweep_g", "force_mask"],
+    )
+    @given(data=_tiny_csv_text(), family=st.sampled_from(["auto", "poisson", "nb2"]))
+    @settings(max_examples=5, deadline=None, derandomize=True)
+    def test_ga_g_settings_exit_cleanly(self, data, family, g_flags):
+        text, covariates = data
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "data.csv")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            argv = [
+                "ga", "--data", path, "--outcome", "y", "--covariates", covariates,
+                "--seed", "1", "--family", family, "--criterion", "icomp", "--gmax", "2",
+                "--runs", "2", "--gens", "2", *g_flags, "--out", os.path.join(tmp, "g"),
+            ]
+            assert run(argv) in (0, 2, 3)

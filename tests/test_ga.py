@@ -63,11 +63,17 @@ class TestGaConfig:
             {"restarts": 0},
             {"g_max": 0},
             {"G": 0},
+            {"G": None},
+            {"G": "per_mask"},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(DomainError):
             GaConfig(**kwargs)
+
+    @pytest.mark.parametrize("G", [3, np.int64(2), "auto", "per-mask"])
+    def test_component_count_settings_accepted(self, G):
+        assert GaConfig(G=G).G == G
 
 
 class TestFitness:
@@ -127,12 +133,36 @@ class TestFitness:
         assert cache[mask.key] is None
 
 
+    @pytest.mark.parametrize("G", [None, "auto", 0])
+    def test_unknown_component_count_rejected(self, G):
+        d = _regression_dataset(seed=11)
+        with pytest.raises(DomainError, match="per-mask"):
+            fitness(CovariateMask.all_ones(d.p), d, G, POISSON, "caic", {}, seed=0)
+
+    def test_per_mask_cache_shared_across_criteria(self):
+        # a CAIC lookup must not fix the G that a later AIC lookup scores at
+        rng = np.random.default_rng(1)
+        n = 120
+        X = np.column_stack([np.ones(n), rng.normal(size=(n, 2))])
+        group = rng.random(n) < 0.5
+        y = rng.poisson(np.where(group, 3.0, 6.0) * np.exp(0.2 * X[:, 1]))
+        d = Dataset(y=y, X=X, names=("x1", "x2"))
+        res = sweep(d, 3, seed=2, restarts=1, family=POISSON)
+        assert res.best["caic"] != res.best["aic"]  # the premise: they disagree
+        mask = CovariateMask.all_ones(d.p)
+        kwargs = dict(seed=2, restarts=1, g_max=3)
+        cache = {}
+        for criterion in ("caic", "aic"):
+            shared = fitness(mask, d, "per-mask", POISSON, criterion, cache, **kwargs)
+            fresh = fitness(mask, d, "per-mask", POISSON, criterion, {}, **kwargs)
+            assert shared == fresh
+
     def test_icomp_lookup_rescores_row_cached_without_icomp(self):
         d = _regression_dataset(seed=11)
         mask = CovariateMask.from_numbers(d.p, (1,))
         cache = {}
         fitness(mask, d, 1, POISSON, "caic", cache, seed=0, restarts=1)
-        assert cache[mask.key].icomp is None
+        assert cache[mask.key][0].icomp is None
         val = fitness(mask, d, 1, POISSON, "icomp", cache, seed=0, restarts=1)
         assert val == fitness(mask, d, 1, POISSON, "icomp", {}, seed=0, restarts=1)
         assert np.isfinite(val)
@@ -310,13 +340,13 @@ class TestEvolve:
             evolve(d, GaConfig(runs=1, G=1), family=POISSON)
 
     def test_per_mask_g_reselection(self):
-        # with select_g_per_mask each mask is scored at its own best G,
+        # at per-mask G each mask is scored at its own best G,
         # which must match an explicit sweep of that mask
         d = _regression_dataset(p=2, important=(0,), n=140, seed=60)
         mask = CovariateMask.from_numbers(d.p, (1,))
         cache = {}
         val = fitness(
-            mask, d, None, POISSON, "caic", cache, seed=2, restarts=1, g_max=2
+            mask, d, "per-mask", POISSON, "caic", cache, seed=2, restarts=1, g_max=2
         )
         from countmix import apply_mask
 

@@ -178,6 +178,12 @@ class TestSweep:
             sweep(d, 2, seed=0, restarts=1, family=POISSON)
         assert set(err.value.diagnostics) == {1, 2}
 
+    @pytest.mark.parametrize("G_max", [0, -1])
+    def test_g_max_below_one_is_an_input_error(self, poisson_data, G_max):
+        d = poisson_data(n=60, seed=46)
+        with pytest.raises(DomainError, match="G_max"):
+            sweep(d, G_max, seed=0, restarts=1, family=POISSON)
+
     def test_grouped_fixture_scores_finite_and_ordered(self):
         from countmix import gen_grouped_counts
 
