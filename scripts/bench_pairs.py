@@ -2,25 +2,31 @@
 
     python3 scripts/bench_pairs.py --parent REV --workload W --seeds A-B
 
-Checks REV out into a temporary git worktree outside the repository.  For
-each seed N in A..B it runs ``python3 bench/run.py --workload W --seed N
---seconds 30 --trace 0`` once in the parent's tree and once in the
-working tree, alternating seed by seed which side runs first.  For every
-end-to-end metric that BENCHMARK.json declares it prints each side's
-median and quartiles and the number of pairs the working tree wins (ties
-count for neither side).  The last line of standard output is one JSON
-object, {"summary": ..., "runs": [...]}, in the layout of the
-``BENCH_*.json`` workload entries.  The worktree is removed at exit.
+Both sides run from fresh copies in a temporary directory outside the
+repository: the parent from ``git archive REV``, the working tree from a
+copy of its tracked and untracked files that .gitignore does not exclude.
+Nothing is written to the repository or its .git directory.  For each
+seed N in A..B it runs ``python3 bench/run.py --workload W --seed N
+--seconds 30 --trace 0`` once in each copy, alternating seed by seed
+which side runs first.  For every end-to-end metric that BENCHMARK.json
+declares it prints each side's median and quartiles and the number of
+pairs the working tree wins (ties count for neither side).  The last
+line of standard output is one JSON object, {"summary": ..., "runs":
+[...]}, in the layout of the ``BENCH_*.json`` workload entries.  The
+copies are removed at exit.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -42,8 +48,24 @@ def _parse(argv):
     return args
 
 
-def _git(*argv):
-    subprocess.run(["git", "-C", ROOT, *argv], check=True, capture_output=True, text=True)
+def _git(*argv) -> bytes:
+    return subprocess.run(["git", "-C", ROOT, *argv], check=True, capture_output=True).stdout
+
+
+def _export_revision(rev, dest):
+    """The files of commit ``rev``, from ``git archive``, under ``dest``."""
+    with tarfile.open(fileobj=io.BytesIO(_git("archive", "--format=tar", rev))) as tar:
+        tar.extractall(dest, filter="data")
+
+
+def _copy_working_tree(dest):
+    """The working tree's tracked and untracked, not ignored, files under ``dest``."""
+    listed = _git("ls-files", "-z", "--cached", "--others", "--exclude-standard")
+    for rel in sorted(set(listed.decode().split("\0")) - {""}):
+        src = os.path.join(ROOT, rel)
+        if os.path.isfile(src):  # a tracked file deleted in the working tree is left out
+            os.makedirs(os.path.dirname(os.path.join(dest, rel)), exist_ok=True)
+            shutil.copy2(src, os.path.join(dest, rel))
 
 
 def _run(tree, workload, seed):
@@ -70,13 +92,13 @@ def main(argv=None) -> int:
     args = _parse(sys.argv[1:] if argv is None else argv)
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         metrics = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
-    parent = tempfile.mkdtemp(prefix="bench-parent-")
-    os.rmdir(parent)  # git worktree add creates the directory itself
-    _git("worktree", "add", "--detach", parent, args.parent)
     runs = []
-    try:
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        parent, change = os.path.join(tmp, "parent"), os.path.join(tmp, "change")
+        _export_revision(args.parent, parent)
+        _copy_working_tree(change)
         for i, seed in enumerate(args.seed_list):
-            order = [("before", parent), ("after", ROOT)]
+            order = [("before", parent), ("after", change)]
             for side, tree in order if i % 2 == 0 else order[::-1]:
                 result = _run(tree, args.workload, seed)
                 row = {"seed": seed, "side": side}
@@ -84,8 +106,6 @@ def main(argv=None) -> int:
                 row.update(correct=result["correct"], failed=result["failed"])
                 runs.append(row)
                 print(json.dumps(row), flush=True)
-    finally:
-        _git("worktree", "remove", "--force", parent)
 
     summary = {}
     print(f"\n{args.workload}, {len(args.seed_list)} pairs, parent {args.parent}")

@@ -406,7 +406,7 @@ def _is_pd(a) -> np.ndarray:
     return out
 
 
-def _newton(family, x, d, W, tol, gtol, max_iter):
+def _newton(family, x, d, W, max_iter):
     """Damped Newton ascent on C weighted log-likelihoods of one family at once.
 
     Row c of ``x`` (C, m) is fitted to weight row c of ``W`` (C, n): beta
@@ -418,14 +418,14 @@ def _newton(family, x, d, W, tol, gtol, max_iter):
     information is not positive definite s takes a bounded uphill step of
     0.5 beside beta's own Newton step.  Every step is halved until the
     log-likelihood does not decrease.  Convergence needs a gradient
-    max-norm below ``gtol`` over the free coordinates and a relative logL
-    change below ``tol``; a fit whose step no longer improves logL has
-    converged if its Newton decrement g' I^-1 g / 2 is at most
-    ``tol * (1 + |logL|)``.  A row leaves the block when it converges or
-    stalls; the rows still moving after ``max_iter`` steps stop there.
-    Returns per row (x, logL, converged, iterations, information at the
-    returned x); a row's iterations are the steps it took, which is the
-    outer iteration at which it left the block.
+    max-norm below ``DEFAULT_GTOL`` over the free coordinates and a
+    relative logL change below ``DEFAULT_TOL``; a fit whose step no longer
+    improves logL has converged if its Newton decrement g' I^-1 g / 2 is at
+    most ``DEFAULT_TOL * (1 + |logL|)``.  A row leaves the block when it
+    converges or stalls; the rows still moving after ``max_iter`` steps
+    stop there.  Returns per row (x, logL, converged, iterations); a row's
+    iterations are the steps it took, which is the outer iteration at
+    which it left the block.
     """
     with np.errstate(**_QUIET):  # overflow to inf is scored, not warned
         x = np.array(x, dtype=float)
@@ -436,13 +436,13 @@ def _newton(family, x, d, W, tol, gtol, max_iter):
         # x, W and ll hold the rows still in the block; a row's results are
         # written out when it leaves, at the positions in ``live``
         live, prev_ll = np.arange(C), None
-        out_x, out_ll, info = np.empty((C, m)), np.empty(C), np.empty((C, m, m))
+        out_x, out_ll = np.empty((C, m)), np.empty(C)
         converged = np.zeros(C, dtype=bool)
         iterations = np.zeros(C, dtype=np.int64)
 
-        def leave(rows, ok, it, inf_rows):
+        def leave(rows, ok, it):
             at = live[rows]
-            out_x[at], out_ll[at], info[at] = x[rows], ll[rows], inf_rows
+            out_x[at], out_ll[at] = x[rows], ll[rows]
             converged[at], iterations[at] = ok, it
 
         for it in range(max_iter):
@@ -452,11 +452,11 @@ def _newton(family, x, d, W, tol, gtol, max_iter):
                 frozen = _alpha_side(np.exp(x[:, k])) * grad[:, k] > 0.0
                 gfree = grad.copy()
                 gfree[frozen, k] = 0.0
-            done = np.abs(gfree).max(axis=1) < gtol
+            done = np.abs(gfree).max(axis=1) < DEFAULT_GTOL
             if it and done.any():
-                done &= np.abs(ll - prev_ll) <= tol * (1.0 + np.abs(ll))
+                done &= np.abs(ll - prev_ll) <= DEFAULT_TOL * (1.0 + np.abs(ll))
             if done.any():
-                leave(done, True, it, inf[done])
+                leave(done, True, it)
                 go = ~done
                 live, x, W, ll = live[go], x[go], W[go], ll[go]
                 grad, inf, gfree = grad[go], inf[go], gfree[go]
@@ -506,8 +506,8 @@ def _newton(family, x, d, W, tol, gtol, max_iter):
                 # no ascent left at this precision: an optimum if the Newton
                 # decrement, the gain the quadratic model predicts, is negligible
                 decrement = 0.5 * np.einsum("ij,ij->i", gfree[pos], step[pos])
-                ok = decrement <= tol * (1.0 + np.abs(ls))
-                leave(pos, ok & newton[pos] if nb2 else ok, it, inf[pos])
+                ok = decrement <= DEFAULT_TOL * (1.0 + np.abs(ls))
+                leave(pos, ok & newton[pos] if nb2 else ok, it)
                 go = np.ones(live.size, dtype=bool)
                 go[pos] = False
                 live, W, ll, new_x, new_ll = live[go], W[go], ll[go], new_x[go], new_ll[go]
@@ -515,9 +515,8 @@ def _newton(family, x, d, W, tol, gtol, max_iter):
                     break
             x, ll, prev_ll = new_x, new_ll, ll
         else:
-            # the cap ended the loop: these rows moved since their last check
-            leave(slice(None), False, max_iter, _derivs(family, x, d, W)[1])
-        return out_x, out_ll, converged, iterations, info
+            leave(slice(None), False, max_iter)  # stopped by the cap
+        return out_x, out_ll, converged, iterations
 
 
 def _se_from_info(info: np.ndarray) -> np.ndarray:
@@ -549,9 +548,7 @@ def _alpha_moment_estimate(beta, d, W):
         return np.where(ok, np.clip(num / den, 1e-4, ALPHA_MAX), 1.0)
 
 
-def _fit_block(
-    family, d, W, init=None, tol=DEFAULT_TOL, gtol=DEFAULT_GTOL, max_iter=DEFAULT_MAX_ITER
-):
+def _fit_block(family, d, W, init, max_iter):
     """Fit C weighted regressions of one family in one :func:`_newton` block.
 
     ``W`` is a (C, n) block of validated weights; ``init`` holds (C, m)
@@ -561,13 +558,16 @@ def _fit_block(
     if init is None:
         init = _poisson_start(d, W)
         if family == NB2:
-            beta = _newton(POISSON, init, d, W, tol, gtol, max_iter)[0]
+            beta = _newton(POISSON, init, d, W, max_iter)[0]
             init = np.column_stack([beta, np.log(_alpha_moment_estimate(beta, d, W))])
-    return _newton(family, init, d, W, tol, gtol, max_iter)
+    return _newton(family, init, d, W, max_iter)
 
 
-def _fit_one(family, d, w, init, tol, gtol, max_iter) -> GlmFit:
-    """:func:`fit_poisson` or :func:`fit_nb2` as a :func:`_fit_block` of one."""
+def _fit_one(family, d, w, init) -> GlmFit:
+    """:func:`fit_poisson` or :func:`fit_nb2` as a :func:`_fit_block` of one.
+
+    The standard errors come from the information at the returned x.
+    """
     w = _weights(d, w)
     nb2 = family == NB2
     if nb2 and d.n < d.p + 2:
@@ -580,7 +580,10 @@ def _fit_one(family, d, w, init, tol, gtol, max_iter) -> GlmFit:
         else:
             init = _beta(init, d)
         init = init[None]
-    x, ll, converged, iterations, info = _fit_block(family, d, w[None], init, tol, gtol, max_iter)
+    W = w[None]
+    x, ll, converged, iterations = _fit_block(family, d, W, init, DEFAULT_MAX_ITER)
+    with np.errstate(**_QUIET):
+        info = _derivs(family, x, d, W)[1]
     k = d.p + 1
     alpha = float(np.exp(x[0, k])) if nb2 else 0.0
     return GlmFit(
@@ -595,32 +598,20 @@ def _fit_one(family, d, w, init, tol, gtol, max_iter) -> GlmFit:
     )
 
 
-def fit_poisson(
-    d: Dataset,
-    w=None,
-    init=None,
-    tol: float = DEFAULT_TOL,
-    gtol: float = DEFAULT_GTOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> GlmFit:
+def fit_poisson(d: Dataset, w=None, init=None) -> GlmFit:
     """Maximum-likelihood Poisson regression by damped Newton (IRLS).
 
-    Convergence requires both a relative log-likelihood change below
-    ``tol`` and a gradient max-norm below ``gtol``, or a negligible Newton
-    decrement once no step improves the log-likelihood.  Non-convergence
-    returns the best iterate with ``converged=False`` rather than raising.
+    Convergence requires both a relative log-likelihood change of at most
+    ``DEFAULT_TOL`` (1e-8) and a gradient max-norm below ``DEFAULT_GTOL``
+    (1e-6) within ``DEFAULT_MAX_ITER`` (100) Newton steps, or a negligible
+    Newton decrement once no step improves the log-likelihood.
+    Non-convergence returns the last iterate with ``converged=False``
+    rather than raising; its ``se`` belong to that iterate.
     """
-    return _fit_one(POISSON, d, w, init, tol, gtol, max_iter)
+    return _fit_one(POISSON, d, w, init)
 
 
-def fit_nb2(
-    d: Dataset,
-    w=None,
-    init=None,
-    tol: float = DEFAULT_TOL,
-    gtol: float = DEFAULT_GTOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> GlmFit:
+def fit_nb2(d: Dataset, w=None, init=None) -> GlmFit:
     """Maximum-likelihood NB-2 regression by damped Newton on (beta, log alpha).
 
     Every step solves with the analytic joint information, so beta and
@@ -631,7 +622,7 @@ def fit_nb2(
     one that ends on a bound sets ``alpha_pinned`` instead of raising.
     ``se`` holds the beta part of the inverse joint information.
     """
-    return _fit_one(NB2, d, w, init, tol, gtol, max_iter)
+    return _fit_one(NB2, d, w, init)
 
 
 def dispersion_stat(d: Dataset) -> float:

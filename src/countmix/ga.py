@@ -29,7 +29,6 @@ from .mixture import MixtureModel, _component_stacks, em_fit
 from .selection import (
     DEFAULT_G_MAX,
     _criterion_value,
-    choose_family,
     normalize_criterion,
     select_best,
     sweep,
@@ -42,6 +41,7 @@ CONSTANT_VAR_TOL = 1e-12
 # the component-count settings besides a fixed positive G
 AUTO = "auto"
 PER_MASK = "per-mask"
+_ICOMP_SCORED = "icomp-scored"  # see fitness
 
 
 def _check_g(G, words: tuple[str, ...]) -> None:
@@ -180,14 +180,17 @@ def fitness(
     failed fit) by mask bits alone, so one cache belongs to one (d, G,
     family, seed, restarts, g_max); criteria may share it.  A fixed-G row
     carries ICOMP only when ICOMP is the criterion, since its observed
-    information costs about as much as the fit; a cached row without
-    ICOMP is scored again when an ICOMP lookup reaches it.
+    information costs about as much as the fit; a cached row scored
+    without ICOMP is scored again, once, when an ICOMP lookup reaches it.
+    The keys of rows scored with ICOMP requested, whether or not ICOMP
+    was available, are kept in the cache under ``"icomp-scored"``.
     """
     criterion = normalize_criterion(criterion)
     _check_g(G, (PER_MASK,))
     key, icomp = mask.key, criterion == "icomp"
     rows = cache.get(key)
-    if key not in cache or (icomp and G != PER_MASK and rows is not None and rows[0].icomp is None):
+    scored = cache.setdefault(_ICOMP_SCORED, set())
+    if key not in cache or (icomp and G != PER_MASK and rows is not None and key not in scored):
         try:
             rows = fit_mask(
                 mask, d, G, family, seed=seed, restarts=restarts, g_max=g_max, with_icomp=icomp
@@ -195,13 +198,18 @@ def fitness(
         except CountmixError:
             rows = None
         cache[key] = rows
+        if icomp:
+            scored.add(key)
     row = mask_row(rows, G, criterion)
     value = None if row is None else _criterion_value(row, criterion)
     return np.inf if value is None else value
 
 
-def evolve(d: Dataset, cfg: GaConfig, family: str | None = None) -> list[SubsetRecord]:
+def evolve(d: Dataset, cfg: GaConfig, family: str) -> list[SubsetRecord]:
     """Run ``cfg.runs`` independent GA searches and tabulate winner frequencies.
+
+    ``family`` is the count family of every mask fit; callers elect it,
+    for instance with :func:`countmix.selection.choose_family`.
 
     Every run draws a fresh Bernoulli(0.5) population, then iterates
     tournament selection (k=2, ties to the first draw), uniform crossover,
@@ -215,8 +223,6 @@ def evolve(d: Dataset, cfg: GaConfig, family: str | None = None) -> list[SubsetR
     if d.p < 1:
         raise DomainError("GA subset selection needs at least one covariate")
     criterion = normalize_criterion(cfg.criterion)
-    if family is None:
-        family = choose_family(d)
     countglm.validate_family(family)
     G = resolve_g(d, cfg, family)
 
@@ -224,7 +230,7 @@ def evolve(d: Dataset, cfg: GaConfig, family: str | None = None) -> list[SubsetR
     mut = cfg.mutation_rate if cfg.mutation_rate is not None else 1.0 / p
     n_children = cfg.pop_size - cfg.elitism
     pairs = (n_children + 1) // 2
-    cache: dict[bytes, tuple[ScoreRow, ...] | None] = {}
+    cache: dict = {}
     # fitness by mask key; a population's keys come from one view of its
     # rows as p-byte records, and equal CovariateMask.key
     values: dict[bytes, float] = {}

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import countglm
-from .countglm import ALPHA_MAX, ALPHA_MIN, NB2, validate_family
+from .countglm import NB2, validate_family
 from .data import Dataset
 from .errors import (
     ComponentCollapseError,
@@ -242,7 +242,7 @@ def _m_step(resp: np.ndarray, d: Dataset, family: str, prev):
     x = np.full((R * G, d.p + 1 + (family == NB2)), np.nan)
     if cols.any():
         init = None if prev is None else prev[cols]
-        x[cols] = countglm._fit_block(family, d, W[cols], init, max_iter=M_STEP_FIT_MAX_ITER)[0]
+        x[cols] = countglm._fit_block(family, d, W[cols], init, M_STEP_FIT_MAX_ITER)[0]
     return pis, x, failures
 
 
@@ -256,12 +256,13 @@ def _components(pis: np.ndarray, x: np.ndarray, family: str):
     )
 
 
-def m_step(resp: np.ndarray, d: Dataset, family: str, prev=None):
+def m_step(resp: np.ndarray, d: Dataset, family: str):
     """Weighted refits given responsibilities; returns new components.
 
-    The G refits run as one block of the shared Newton driver, the R=1
-    case of the lock-step M-step in :func:`em_fit`.  A component whose
-    effective sample sum_i r_ig falls below p+2 raises
+    The G refits run from cold starts as one block of the shared Newton
+    driver, each capped at ``M_STEP_FIT_MAX_ITER`` (15) Newton steps: the
+    R=1 case of the first lock-step M-step in :func:`em_fit`.  A
+    component whose effective sample sum_i r_ig falls below p+2 raises
     :class:`ComponentCollapseError` (caught and handled by :func:`em_fit`).
     """
     validate_family(family)
@@ -273,11 +274,7 @@ def m_step(resp: np.ndarray, d: Dataset, family: str, prev=None):
         raise DomainError("responsibility rows must sum to 1")
     for w in resp.T:
         countglm._weights(d, w)
-    if prev is not None:  # components to the Newton driver's rows
-        prev, alpha = _component_stacks(prev, d, family)
-        if alpha is not None:
-            prev = np.column_stack([prev, np.log(np.clip(alpha, ALPHA_MIN, ALPHA_MAX))])
-    pis, x, failures = _m_step(resp[None], d, family, prev)
+    pis, x, failures = _m_step(resp[None], d, family, None)
     if failures[0] is not None:
         raise failures[0]
     return _components(pis[0], x, family)
@@ -347,7 +344,7 @@ def init_by_count_mixture(d: Dataset, G: int, seed=0) -> np.ndarray:
     return hard
 
 
-def _run_em(d, family, resp0, tol, max_iter):
+def _run_em(d, family, resp0):
     """Lock-step EM from an (R, n, G) stack of starting responsibilities.
 
     Each iteration makes one M-step over the R*G weight columns of the
@@ -369,7 +366,7 @@ def _run_em(d, family, resp0, tol, max_iter):
     traces = [[] for _ in range(R)]
     lost = [[] for _ in range(R)]  # per restart, the zero-density row count of each pass
     live, resp, x = np.arange(R), resp0, None
-    for _ in range(max_iter):
+    for _ in range(DEFAULT_EM_MAX_ITER):
         pis, x, ended = _m_step(resp, d, family, x)
         for j, pi in enumerate(pis):
             if ended[j] is None and pi.min() < 1.0 / (2.0 * n):
@@ -400,7 +397,7 @@ def _run_em(d, family, resp0, tol, max_iter):
             if not math.isfinite(ll):  # some row has zero density under every component
                 lost[live[j]].append(int(np.count_nonzero(~np.isfinite(norm[j]))))
             trace = traces[live[j]]
-            done[j] = bool(trace) and abs(ll - trace[-1]) <= tol * (1.0 + abs(ll))
+            done[j] = bool(trace) and abs(ll - trace[-1]) <= DEFAULT_EM_TOL * (1.0 + abs(ll))
             trace.append(ll)
             if done[j]:
                 rows = x[j * G:(j + 1) * G]
@@ -410,7 +407,7 @@ def _run_em(d, family, resp0, tol, max_iter):
             live, pis, resp, x = live[go], pis[go], resp[go], x[np.repeat(go, G)]
             if not live.size:
                 break
-    for j, r in enumerate(live):  # stopped by max_iter
+    for j, r in enumerate(live):  # stopped by the iteration cap
         outcome[r] = _model(family, pis[j], x[j * G:(j + 1) * G], resp[j], traces[r], False)
     for counts, out in zip(lost, outcome):
         for count in counts:
@@ -438,8 +435,6 @@ def em_fit(
     family: str,
     seed=0,
     restarts: int = DEFAULT_RESTARTS,
-    tol: float = DEFAULT_EM_TOL,
-    max_iter: int = DEFAULT_EM_MAX_ITER,
 ) -> MixtureModel:
     """Fit a G-component mixture by EM with multiple restarts.
 
@@ -453,16 +448,18 @@ def em_fit(
     weighted design) are discarded.  The best surviving restart by final
     log-likelihood wins, ties broken toward the lowest restart index.  If
     every restart collapses the fit is retried at G-1 and the result is
-    tagged with a collapse diagnostic.  At G=1 the redraw of the single
-    all-ones column reproduces the first start, so one run is made.
+    tagged with a collapse diagnostic; if that retry fails too, the
+    :class:`ComponentCollapseError` names G and the first restart
+    discarded at G.  EM stops when the relative log-likelihood change is
+    at most ``DEFAULT_EM_TOL`` (1e-8), or after ``DEFAULT_EM_MAX_ITER``
+    (500) iterations with ``converged=False``.  At G=1 the redraw of the
+    single all-ones column reproduces the first start, so one run is made.
     """
     validate_family(family)
     if G < 1:
         raise DomainError(f"G must be >= 1, got {G}")
     if restarts < 1:
         raise DomainError("restarts must be >= 1")
-    if max_iter < 1:
-        raise DomainError("max_iter must be >= 1")
     if d.n < G * (d.p + 2):
         raise DimensionError(
             f"n={d.n} is too small for G={G} components with p={d.p}"
@@ -477,7 +474,7 @@ def em_fit(
 
     best = None
     notes: list[str] = []
-    for k, out in enumerate(_run_em(d, family, np.stack(starts), tol, max_iter)):
+    for k, out in enumerate(_run_em(d, family, np.stack(starts))):
         if isinstance(out, (ComponentCollapseError, SingularDesignError)):
             notes.append(f"restart {k} discarded: {out}")
             continue
@@ -490,9 +487,12 @@ def em_fit(
             raise ComponentCollapseError(
                 f"all restarts failed at G=1: {'; '.join(notes)}"
             )
-        reduced = em_fit(
-            d, G - 1, family, seed=seed, restarts=restarts, tol=tol, max_iter=max_iter
-        )
+        try:
+            reduced = em_fit(d, G - 1, family, seed=seed, restarts=restarts)
+        except ComponentCollapseError as exc:
+            raise ComponentCollapseError(
+                f"all restarts failed at G={G}, and the retry at G={G - 1} failed too: {notes[0]}"
+            ) from exc
         note = f"all restarts collapsed at G={G}; refitted with G={reduced.G}"
         return replace(reduced, warnings=reduced.warnings + (note,))
     if notes:

@@ -36,15 +36,14 @@ def gen_grouped_counts(
     n_per_group: int = DEFAULT_N_PER_GROUP,
     n_groups: int = 4,
     reject_close: bool = True,
-    min_gap: float = DEFAULT_MIN_GAP,
 ):
     """Grouped (x, y) scatter: x ~ N(mu_g, 1), y ~ Poisson(lam_g).
 
     Group centers and rates are integers drawn uniformly from
     [PARAM_LOW, PARAM_HIGH].  With ``reject_close`` (the default) the
-    rate set is redrawn until all pairwise gaps reach ``min_gap``, so the
-    groups stay distinguishable; pass False for the fully literal
-    protocol.  Returns ``(dataset, labels, groups)``.
+    rate set is redrawn until all pairwise gaps reach ``DEFAULT_MIN_GAP``
+    (5), so the groups stay distinguishable; pass False for the fully
+    literal protocol.  Returns ``(dataset, labels, groups)``.
     """
     if n_per_group < 1:
         raise DomainError("n_per_group must be >= 1")
@@ -57,7 +56,7 @@ def gen_grouped_counts(
         if not reject_close or n_groups == 1:
             break
         gaps = np.abs(lams[:, None] - lams[None, :])[np.triu_indices(n_groups, 1)]
-        if gaps.min() >= min_gap:
+        if gaps.min() >= DEFAULT_MIN_GAP:
             break
     else:
         raise SimulationSpecError("could not draw rates with the requested gap")

@@ -193,6 +193,7 @@ class TestSweep:
         assert code == 3
         assert "G=1: " in err and "G=2: " in err
         assert "dependent column(s): x2" in err
+        assert "G=2: all restarts failed at G=2, and the retry at G=1 failed too" in err
         assert "Traceback" not in err
 
 

@@ -264,15 +264,19 @@ class TestFitPoisson:
 
     @pytest.mark.parametrize("seed", [219, 320])
     def test_stall_at_optimum_counts_as_converged(self, seed):
-        # a lone covariate on [10, 11.5] leaves a gradient above gtol that no
-        # step can reduce in floating point; the Newton decrement is ~0 there
+        # x2 is x1 plus 1e-7 noise, scaled by 1e6.  The scale lifts the
+        # rounding floor of the gradient far above gtol at every point near the
+        # optimum, and steps along the near-collinear direction gain less than
+        # the rounding of logL, so the fit ends by the Newton-decrement rule.
+        # The premise held on 40 of 40 row orders of each seed.
         rng = np.random.default_rng(seed)
-        n = 95
-        inc = rng.uniform(10.0, 11.5, n)
-        y = rng.poisson(np.exp(2.0 + 0.3 * (inc - 10.75)))
-        d = Dataset(y=y, X=np.column_stack([np.ones(n), inc]), names=("INC",))
+        n = 300
+        x1 = rng.normal(size=n)
+        x2 = 1e6 * (x1 + 1e-7 * rng.normal(size=n))
+        y = rng.poisson(np.exp(1.0 + 0.3 * x1))
+        d = Dataset(y=y, X=np.column_stack([np.ones(n), x1, x2]), names=("x1", "x2"))
         fit = fit_poisson(d)
-        assert np.max(np.abs(poisson_loglik_grad(fit.beta, d))) > countglm.DEFAULT_GTOL
+        assert np.max(np.abs(poisson_loglik_grad(fit.beta, d))) > 100 * countglm.DEFAULT_GTOL
         assert fit.converged
         model = em_fit(d, 1, "poisson", seed=0)
         assert model.converged
@@ -362,7 +366,7 @@ class TestFitNb2:
 
 
 class TestIterationCap:
-    """A fit stopped by ``max_iter`` reports SEs of the coefficients it returns."""
+    """A fit stopped by the iteration cap reports SEs of the coefficients it returns."""
 
     @staticmethod
     def _oracle_se(fit, d):
@@ -379,14 +383,15 @@ class TestIterationCap:
         return np.sqrt(np.diag(np.linalg.inv(-(J + J.T) / 2.0)))[:k]
 
     @pytest.mark.parametrize("family", ["poisson", "nb2"])
-    def test_se_belongs_to_returned_iterate(self, family):
+    def test_se_belongs_to_returned_iterate(self, family, monkeypatch):
         rng = np.random.default_rng(61)
         n = 200
         X = np.column_stack([np.ones(n), rng.normal(size=n)])
         mu = np.exp(1.5 + 0.8 * X[:, 1])
         y = rng.poisson(rng.gamma(2.0, 0.5 * mu) if family == "nb2" else mu)
         d = Dataset(y=y, X=X, names=("x",))
-        fit = (fit_nb2 if family == "nb2" else fit_poisson)(d, max_iter=2)
+        monkeypatch.setattr(countglm, "DEFAULT_MAX_ITER", 2)
+        fit = (fit_nb2 if family == "nb2" else fit_poisson)(d)
         assert not fit.converged and fit.iterations == 2
         np.testing.assert_allclose(fit.se, self._oracle_se(fit, d), rtol=1e-5)
 

@@ -167,6 +167,24 @@ class TestFitness:
         assert val == fitness(mask, d, 1, POISSON, "icomp", {}, seed=0, restarts=1)
         assert np.isfinite(val)
 
+    @pytest.mark.parametrize(
+        "criteria, fits", [(("icomp",) * 3, 1), (("caic", "icomp", "icomp"), 2)]
+    )
+    def test_unavailable_icomp_is_not_refitted(self, monkeypatch, criteria, fits):
+        # a near-duplicate covariate leaves the information matrix unusable,
+        # so the row scored for ICOMP holds none, like a row scored without it
+        rng = np.random.default_rng(5)
+        n = 80
+        x1 = rng.normal(size=n)
+        X = np.column_stack([np.ones(n), x1, x1 + 1e-7 * rng.normal(size=n)])
+        d = Dataset(y=rng.poisson(np.exp(1.0 + 0.3 * x1)), X=X, names=("x1", "x2"))
+        calls = _counting(monkeypatch, ga_mod, "em_fit")
+        mask, cache = CovariateMask.all_ones(d.p), {}
+        for criterion in criteria:
+            fitness(mask, d, 1, POISSON, criterion, cache, seed=0, restarts=1)
+        assert cache[mask.key][0].icomp is None
+        assert len(calls) == fits
+
 
 def _counting(monkeypatch, module, name):
     """Replace module.name by a wrapper that records each call's arguments."""

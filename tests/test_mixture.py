@@ -345,6 +345,24 @@ class TestEmFit:
         with pytest.raises(DimensionError):
             em_fit(d, 3, POISSON)
 
+    @pytest.mark.parametrize("G", [2, 3])
+    def test_failed_retry_names_the_requested_g(self, G):
+        rng = np.random.default_rng(0)
+        n = 60
+        x1 = rng.normal(size=n)
+        X = np.column_stack([np.ones(n), x1, x1])  # every weighted design is singular
+        d = Dataset(y=rng.poisson(np.exp(1.0 + 0.3 * x1)), X=X, names=("x1", "x2"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # init fallbacks
+            with pytest.raises(ComponentCollapseError) as err:
+                em_fit(d, G, POISSON)
+        assert str(err.value).startswith(
+            f"all restarts failed at G={G}, and the retry at G={G - 1} failed too: "
+            "restart 0 discarded: design is rank deficient; dependent column(s): x2"
+        )
+        assert isinstance(err.value.__cause__, ComponentCollapseError)
+        assert f"at G={G - 1}" in str(err.value.__cause__)
+
     def test_all_collapsed_restarts_reduce_g(self, poisson_data, monkeypatch):
         d = poisson_data(n=60, seed=20)
         real_m_step = mixture_mod._m_step
@@ -374,7 +392,7 @@ class TestEmFit:
         monkeypatch.setattr(mixture_mod.countglm, "_density_rows", counting)
         base = mixture_mod.init_by_count_mixture(d, 2, seed=0)
         starts = np.stack([base, 0.5 * base + 0.25, 0.8 * base + 0.1])
-        outcomes = mixture_mod._run_em(d, POISSON, starts, 1e-8, 500)
+        outcomes = mixture_mod._run_em(d, POISSON, starts)
         assert all(m.G == 2 for m in outcomes)
         assert len({m.iterations for m in outcomes}) > 1
         assert calls["n"] == max(m.iterations for m in outcomes)
@@ -427,10 +445,10 @@ class TestLockStepRestarts:
         starts[4] = 0.0  # a start whose second component holds two rows: discarded
         starts[4, :, 0] = 1.0
         starts[4, :2] = (0.0, 1.0)
-        together = mixture_mod._run_em(d, family, starts, 1e-8, 500)
+        together = mixture_mod._run_em(d, family, starts)
         assert isinstance(together[4], ComponentCollapseError)
         for r, stacked in enumerate(together):
-            (alone,) = mixture_mod._run_em(d, family, starts[r : r + 1], 1e-8, 500)
+            (alone,) = mixture_mod._run_em(d, family, starts[r : r + 1])
             assert type(stacked) is type(alone)
             if isinstance(alone, Exception):
                 assert str(stacked) == str(alone)
