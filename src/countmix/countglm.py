@@ -254,14 +254,26 @@ def _weighted_derivs(d: Dataset, W: np.ndarray, rows):
     return np.column_stack([grad, weighted(v).sum(axis=1)]), info
 
 
-def _derivs(family: str, x: np.ndarray, d: Dataset, W: np.ndarray):
+def _derivs(family: str, x: np.ndarray, d: Dataset, W: np.ndarray, keep=None):
     """Gradients and information matrices of C weighted log-likelihoods.
 
-    Each row of ``x`` is beta, then s = log(alpha) for NB-2.
+    Each row of ``x`` is beta, then s = log(alpha) for NB-2.  ``keep`` is
+    an optional (C, k) boolean block of the columns of ``d.X`` that each
+    row uses (s is always kept).  A dropped column gets zero gradient and
+    a unit row and column in the information, so a Newton step leaves its
+    coefficient at 0 and ``beta @ d.X.T`` stays the masked design's
+    linear predictor.
     """
     k = d.X.shape[1]
     alpha = np.exp(x[:, k:]) if family == NB2 else None
-    return _weighted_derivs(d, W, _row_derivs(family, x[:, :k], alpha, d))
+    grad, info = _weighted_derivs(d, W, _row_derivs(family, x[:, :k], alpha, d))
+    if keep is None:
+        return grad, info
+    m = grad.shape[1]
+    if m > k:
+        keep = np.column_stack([keep, np.ones(len(keep), dtype=bool)])
+    both = keep[:, :, None] & keep[:, None, :]
+    return np.where(keep, grad, 0.0), np.where(both, info, np.eye(m))
 
 
 def _one_row(family: str, beta, alpha, d: Dataset, w):
@@ -326,19 +338,24 @@ def check_design_rank(d: Dataset, w=None) -> None:
     _check_rank(d, _weights(d, w))
 
 
-def _check_rank(d: Dataset, w: np.ndarray) -> None:
-    """:func:`check_design_rank` for pre-validated weights."""
+def _check_rank(d: Dataset, w: np.ndarray, cols=None) -> None:
+    """:func:`check_design_rank` for pre-validated weights.
+
+    ``cols`` optionally picks the columns of ``d.X`` (0 first) that make
+    the design, as ``apply_mask`` would, without building that Dataset.
+    """
+    X = d.X if cols is None else d.X[:, cols]
     active = w >= WEIGHT_FLOOR
-    k = d.p + 1
+    k = X.shape[1]
     n_active = int(np.count_nonzero(active))
     if n_active < k:
         raise SingularDesignError(f"only {n_active} effectively weighted rows for {k} coefficients")
     if k == 1:
         return  # sqrt(w) alone has rank 1
     if n_active == w.size:
-        a0, XT = np.sqrt(w), d.X.T
+        a0, XT = np.sqrt(w), X.T
     else:
-        a0, XT = np.sqrt(w[active]), d.X[active].T
+        a0, XT = np.sqrt(w[active]), X[active].T
     # the columns of sqrt(w) X as contiguous rows; row 0 is sqrt(w)
     AT = np.multiply(XT, a0, order="C")
     gram = AT @ AT.T
@@ -358,6 +375,8 @@ def _check_rank(d: Dataset, w: np.ndarray) -> None:
         return
     # jpvt is 1-based among the columns after the intercept, so it indexes X
     dep = ([0] if r00 <= tol else []) + sorted(int(j) for j in jpvt[diag <= tol])
+    if cols is not None:
+        dep = [int(cols[j]) for j in dep]
     labels = tuple("intercept" if j == 0 else d.names[j - 1] for j in dep)
     raise SingularDesignError(
         f"design is rank deficient; dependent column(s): {', '.join(labels)}",
@@ -406,11 +425,14 @@ def _is_pd(a) -> np.ndarray:
     return out
 
 
-def _newton(family, x, d, W, max_iter):
+def _newton(family, x, d, W, max_iter, keep=None):
     """Damped Newton ascent on C weighted log-likelihoods of one family at once.
 
     Row c of ``x`` (C, m) is fitted to weight row c of ``W`` (C, n): beta
-    for Poisson, (beta, s) with s = log(alpha) last for NB-2.  Every row
+    for Poisson, (beta, s) with s = log(alpha) last for NB-2.  With a
+    (C, k) column mask ``keep`` (see :func:`_derivs`), row c is fitted on
+    the columns of ``d.X`` that ``keep[c]`` keeps, and the coefficients of
+    the others stay at their starting value, which callers set to 0.  Every row
     follows its own course, as if fitted alone: its own step halving,
     dispersion freeze, fallback step and stopping test.  s stays in
     [log ALPHA_MIN, log ALPHA_MAX] and is frozen while its gradient points
@@ -446,7 +468,7 @@ def _newton(family, x, d, W, max_iter):
             converged[at], iterations[at] = ok, it
 
         for it in range(max_iter):
-            grad, inf = _derivs(family, x, d, W)
+            grad, inf = _derivs(family, x, d, W, keep)
             gfree, frozen = grad, None
             if nb2:
                 frozen = _alpha_side(np.exp(x[:, k])) * grad[:, k] > 0.0
@@ -461,6 +483,7 @@ def _newton(family, x, d, W, max_iter):
                 live, x, W, ll = live[go], x[go], W[go], ll[go]
                 grad, inf, gfree = grad[go], inf[go], gfree[go]
                 frozen = None if frozen is None else frozen[go]
+                keep = None if keep is None else keep[go]
                 if not live.size:
                     break
             # a Newton step on the free part, or beta's step beside a bounded s move
@@ -476,6 +499,8 @@ def _newton(family, x, d, W, max_iter):
                 part = ~full
                 step[part, :k] = _solve(inf[part][:, :k, :k], grad[part, :k])
                 step[part, k] = np.where(frozen[part], 0.0, 0.5 * np.sign(grad[part, k]))
+            if keep is not None:  # exactly 0, whichever solver ran
+                step[:, :k] = np.where(keep, step[:, :k], 0.0)
             if nb2:
                 s_step = np.clip(step[:, k], -5.0, 5.0)
             # halve each row's step until its logL does not decrease.  The
@@ -511,6 +536,7 @@ def _newton(family, x, d, W, max_iter):
                 go = np.ones(live.size, dtype=bool)
                 go[pos] = False
                 live, W, ll, new_x, new_ll = live[go], W[go], ll[go], new_x[go], new_ll[go]
+                keep = None if keep is None else keep[go]
                 if not live.size:
                     break
             x, ll, prev_ll = new_x, new_ll, ll
@@ -548,19 +574,21 @@ def _alpha_moment_estimate(beta, d, W):
         return np.where(ok, np.clip(num / den, 1e-4, ALPHA_MAX), 1.0)
 
 
-def _fit_block(family, d, W, init, max_iter):
+def _fit_block(family, d, W, init, max_iter, keep=None):
     """Fit C weighted regressions of one family in one :func:`_newton` block.
 
     ``W`` is a (C, n) block of validated weights; ``init`` holds (C, m)
     starting rows in the driver's layout, or is None for cold starts (for
-    NB-2, a Poisson block fit and a moment estimate of alpha).
+    NB-2, a Poisson block fit and a moment estimate of alpha).  ``keep``
+    is :func:`_newton`'s optional (C, k) column mask; a cold start and a
+    warm start from a masked fit hold 0 at every dropped column.
     """
     if init is None:
         init = _poisson_start(d, W)
         if family == NB2:
-            beta = _newton(POISSON, init, d, W, max_iter)[0]
+            beta = _newton(POISSON, init, d, W, max_iter, keep)[0]
             init = np.column_stack([beta, np.log(_alpha_moment_estimate(beta, d, W))])
-    return _newton(family, init, d, W, max_iter)
+    return _newton(family, init, d, W, max_iter, keep)
 
 
 def _fit_one(family, d, w, init) -> GlmFit:

@@ -210,7 +210,6 @@ def score_model(model: MixtureModel, d: Dataset, with_icomp: bool = True) -> Sco
     the observed information, leaving ``icomp`` and ``ifim_condition``
     None, for callers that rank by AIC, SBC or CAIC alone.
     """
-    n_k = count_params(model.G, d.p, model.family)
     row_icomp: float | None = None
     cond: float | None = None
     if with_icomp and model.converged:
@@ -221,13 +220,19 @@ def score_model(model: MixtureModel, d: Dataset, with_icomp: bool = True) -> Sco
         except InformationMatrixError:
             row_icomp = None
             cond = None
+    return _score_row(model, d.p, d.n, row_icomp, cond)
+
+
+def _score_row(model: MixtureModel, p_active: int, n: int, icomp_value=None, cond=None) -> ScoreRow:
+    """The :class:`ScoreRow` of a model with ``p_active`` covariates fitted to n rows."""
+    n_k = count_params(model.G, p_active, model.family)
     return ScoreRow(
         G=model.G,
         logL=model.logL,
         n_k=n_k,
         aic=aic(model.logL, n_k),
-        sbc=sbc(model.logL, n_k, d.n),
-        caic=caic(model.logL, n_k, d.n),
-        icomp=row_icomp,
+        sbc=sbc(model.logL, n_k, n),
+        caic=caic(model.logL, n_k, n),
+        icomp=icomp_value,
         ifim_condition=cond,
     )

@@ -2,20 +2,21 @@
 
 Each chromosome is a covariate inclusion mask; fitness is an information
 criterion of the mixture refit on the masked design (lower is fitter).
-Fitness is pure, so a mask-keyed cache is shared across runs and
-generations without affecting results.
+Fitness is pure up to rounding, so a mask-keyed cache is shared across
+runs and generations; at G=1 the masks are fitted in blocks of one
+masked GLM fit over the full design.
 """
 
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
 
 from . import countglm
-from .criteria import ScoreRow, score_model
+from .criteria import ScoreRow, _score_row, score_model
 from .data import (
     ColumnStats,
     CovariateMask,
@@ -25,7 +26,7 @@ from .data import (
     summary_stats,
 )
 from .errors import CountmixError, DomainError, NoScoreError
-from .mixture import MixtureModel, _component_stacks, em_fit
+from .mixture import MixtureModel, _component_stacks, _run_g1, em_fit
 from .selection import (
     DEFAULT_G_MAX,
     _criterion_value,
@@ -42,6 +43,9 @@ CONSTANT_VAR_TOL = 1e-12
 AUTO = "auto"
 PER_MASK = "per-mask"
 _ICOMP_SCORED = "icomp-scored"  # see fitness
+# the most floats in a G=1 block's largest array, masks x n x (p+1): the
+# default 200 runs x 30 draws can bring thousands of new masks at once
+_BLOCK_FLOATS = 2**21
 
 
 def _check_g(G, words: tuple[str, ...]) -> None:
@@ -55,8 +59,10 @@ class GaConfig:
     """GA hyperparameters; the defaults favor small, well-cached searches.
 
     ``runs`` independent GA runs are aggregated into winner frequencies,
-    so 200 runs gives 0.5% frequency granularity.  ``G`` is the component
-    count of every mask fit: a positive integer fixes it; ``"auto"`` fixes
+    so 200 runs gives 0.5% frequency granularity.  The runs go in
+    lock-step, generation by generation, and at G=1 each generation's new
+    masks are fitted in one block (see :func:`evolve`).  ``G`` is the
+    component count of every mask fit: a positive integer fixes it; ``"auto"`` fixes
     it at the count ``criterion`` picks in one sweep of the full model
     (G = 1..g_max) before the GA starts; ``"per-mask"`` re-selects it for
     every mask by a sweep of that mask (much costlier).
@@ -161,6 +167,72 @@ def mask_row(rows, G: int | str, criterion: str) -> ScoreRow | None:
     return next(r for r in rows if r.G == G)
 
 
+def _g1_rows(masks, d: Dataset, family: str, with_icomp: bool) -> list:
+    """:func:`fit_mask`'s rows at G=1 for a block of masks, from :func:`_run_g1`.
+
+    The masks are fitted together in one Newton block over ``d.X``, or
+    in as few as keep each block's largest array within
+    ``_BLOCK_FLOATS``.  A mask's row is None when its fit fails, as a
+    failed :func:`fit_mask` is; one too large for n (p+2 > n) is not fitted.
+    """
+    keep = np.ones((len(masks), d.p + 1), dtype=bool)
+    keep[:, 1:] = [m.bits for m in masks]
+    sized = np.flatnonzero(keep.sum(axis=1) < d.n)  # n >= p+2, as em_fit requires
+    step = max(1, _BLOCK_FLOATS // (d.n * (d.p + 1)))
+    models = []
+    for lo in range(0, sized.size, step):
+        models += _run_g1(d, family, keep[sized[lo:lo + step]])
+    out: list = [None] * len(masks)
+    for i, model in zip(sized, models):
+        if isinstance(model, CountmixError):
+            continue
+        if with_icomp:  # the observed information of the model on its masked design
+            comp = model.components[0]
+            model = replace(model, components=(replace(comp, beta=comp.beta[keep[i]]),))
+            out[i] = (score_model(model, apply_mask(d, masks[i])),)
+        else:
+            out[i] = (_score_row(model, int(keep[i].sum()) - 1, d.n),)
+    return out
+
+
+def _score_masks(masks, d, G, family, criterion, cache, seed, restarts, g_max) -> None:
+    """Put :func:`fit_mask`'s rows for each of ``masks`` into ``cache`` unless there.
+
+    At G=1 the masks that need a fit go to one :func:`_g1_rows` block;
+    otherwise each gets its own :func:`fit_mask`.  See :func:`fitness`
+    for the cache's layout.
+    """
+    icomp = criterion == "icomp"
+    scored = cache.setdefault(_ICOMP_SCORED, set())
+    todo = [
+        m for m in masks
+        if m.key not in cache
+        or (icomp and G != PER_MASK and cache[m.key] is not None and m.key not in scored)
+    ]
+    if G == 1:
+        rows = _g1_rows(todo, d, family, icomp) if todo else []
+    else:
+        rows = []
+        for mask in todo:
+            try:
+                rows.append(fit_mask(
+                    mask, d, G, family, seed=seed, restarts=restarts, g_max=g_max, with_icomp=icomp
+                )[0])
+            except CountmixError:
+                rows.append(None)
+    for mask, r in zip(todo, rows):
+        cache[mask.key] = r
+        if icomp:
+            scored.add(mask.key)
+
+
+def _value(rows, G, criterion: str) -> float:
+    """The fitness of :func:`fit_mask`'s ``rows``: +inf for a failed fit or no score."""
+    row = mask_row(rows, G, criterion)
+    value = None if row is None else _criterion_value(row, criterion)
+    return np.inf if value is None else value
+
+
 def fitness(
     mask: CovariateMask,
     d: Dataset,
@@ -178,31 +250,22 @@ def fitness(
     Failures score +inf, so a broken mask survives in the population but
     can never win.  ``cache`` memoizes :func:`fit_mask`'s rows (None for a
     failed fit) by mask bits alone, so one cache belongs to one (d, G,
-    family, seed, restarts, g_max); criteria may share it.  A fixed-G row
-    carries ICOMP only when ICOMP is the criterion, since its observed
-    information costs about as much as the fit; a cached row scored
-    without ICOMP is scored again, once, when an ICOMP lookup reaches it.
-    The keys of rows scored with ICOMP requested, whether or not ICOMP
-    was available, are kept in the cache under ``"icomp-scored"``.
+    family, seed, restarts, g_max); criteria may share it.  At G=1 the
+    rows come from a masked GLM block (:func:`_g1_rows`), here a block of
+    one, so a score is pure up to rounding: the same mask fitted in
+    another block may differ in the last bits (or, where the likelihood is
+    flat, such as an NB-2 dispersion near its lower bound, within the
+    fit's stopping rule).  A fixed-G row carries ICOMP only when ICOMP is
+    the criterion, since its observed information costs about as much as
+    the fit; a cached row scored without ICOMP is scored again, once, when
+    an ICOMP lookup reaches it.  The keys of rows scored with ICOMP
+    requested, whether or not ICOMP was available, are kept in the cache
+    under ``"icomp-scored"``.
     """
     criterion = normalize_criterion(criterion)
     _check_g(G, (PER_MASK,))
-    key, icomp = mask.key, criterion == "icomp"
-    rows = cache.get(key)
-    scored = cache.setdefault(_ICOMP_SCORED, set())
-    if key not in cache or (icomp and G != PER_MASK and rows is not None and key not in scored):
-        try:
-            rows = fit_mask(
-                mask, d, G, family, seed=seed, restarts=restarts, g_max=g_max, with_icomp=icomp
-            )[0]
-        except CountmixError:
-            rows = None
-        cache[key] = rows
-        if icomp:
-            scored.add(key)
-    row = mask_row(rows, G, criterion)
-    value = None if row is None else _criterion_value(row, criterion)
-    return np.inf if value is None else value
+    _score_masks([mask], d, G, family, criterion, cache, seed, restarts, g_max)
+    return _value(cache[mask.key], G, criterion)
 
 
 def evolve(d: Dataset, cfg: GaConfig, family: str) -> list[SubsetRecord]:
@@ -214,11 +277,17 @@ def evolve(d: Dataset, cfg: GaConfig, family: str) -> list[SubsetRecord]:
     Every run draws a fresh Bernoulli(0.5) population, then iterates
     tournament selection (k=2, ties to the first draw), uniform crossover,
     per-bit mutation, and elitism; the run winner is the best-ever mask
-    seen.  Each generation draws its random numbers as blocks, in this
-    order: all tournament index pairs, the crossover coins, the crossover
-    swap masks, the mutation flips.  :func:`fitness` is called once per
-    distinct mask over all runs.  Records are sorted by relative frequency
-    (descending) then criterion value.
+    seen.  Run r draws from its own generator, seeded (cfg.seed, r); each
+    generation draws its random numbers as blocks, in this order: all
+    tournament index pairs, the crossover coins, the crossover swap masks,
+    the mutation flips.  The runs go in lock-step: their populations are
+    one (runs, pop_size, p) array, each generation's selection, crossover,
+    mutation and elitism are stacked array operations, and the
+    generation's masks that no earlier generation scored are scored
+    together, at G=1 in one masked GLM block.  So every distinct mask is
+    fitted once over all runs, and each run takes the course it would
+    take alone.  Records are sorted by relative frequency (descending)
+    then criterion value.
     """
     if d.p < 1:
         raise DomainError("GA subset selection needs at least one covariate")
@@ -226,9 +295,9 @@ def evolve(d: Dataset, cfg: GaConfig, family: str) -> list[SubsetRecord]:
     countglm.validate_family(family)
     G = resolve_g(d, cfg, family)
 
-    p = d.p
+    p, R, P = d.p, cfg.runs, cfg.pop_size
     mut = cfg.mutation_rate if cfg.mutation_rate is not None else 1.0 / p
-    n_children = cfg.pop_size - cfg.elitism
+    n_children = P - cfg.elitism
     pairs = (n_children + 1) // 2
     cache: dict = {}
     # fitness by mask key; a population's keys come from one view of its
@@ -236,44 +305,55 @@ def evolve(d: Dataset, cfg: GaConfig, family: str) -> list[SubsetRecord]:
     values: dict[bytes, float] = {}
     row_record = np.dtype((np.void, p))
 
-    def fits_of(pop: np.ndarray) -> tuple[list[bytes], np.ndarray]:
-        keys = pop.view(row_record).ravel().tolist()
-        for key in dict.fromkeys(keys):
-            if key not in values:
-                values[key] = fitness(
-                    CovariateMask(np.frombuffer(key, dtype=bool)), d, G, family,
-                    criterion, cache, seed=cfg.seed, restarts=cfg.restarts,
-                    g_max=cfg.g_max,
-                )
-        return keys, np.array([values[k] for k in keys])
+    def fits_of(pop: np.ndarray) -> np.ndarray:
+        keys = pop.reshape(-1, p).view(row_record).ravel().tolist()
+        new = [
+            CovariateMask(np.frombuffer(key, dtype=bool))
+            for key in dict.fromkeys(keys) if key not in values
+        ]
+        _score_masks(new, d, G, family, criterion, cache, cfg.seed, cfg.restarts, cfg.g_max)
+        for mask in new:
+            values[mask.key] = _value(cache[mask.key], G, criterion)
+        return np.fromiter(map(values.__getitem__, keys), float, len(keys)).reshape(R, P)
+
+    rngs = [np.random.default_rng(np.random.SeedSequence((cfg.seed, r))) for r in range(R)]
+    pop = np.stack([rng.random((P, p)) for rng in rngs]) < 0.5
+    fits = fits_of(pop)
+    runs = np.arange(R)
+    first = fits.argmin(axis=1)
+    best_fit, best = fits[runs, first], pop[runs, first]
+    rows = runs[:, None]
+    # each run's draws of one generation, filled run by run from its own generator
+    draws = np.empty((R, 2, pairs, 2), dtype=np.int64)
+    coins, swaps = np.empty((R, pairs)), np.empty((R, pairs, p))
+    flips = np.empty((R, n_children, p))
+    for _ in range(cfg.generations):
+        order = np.argsort(fits, axis=1, kind="stable")[:, : cfg.elitism]
+        elite = pop[rows, order]
+        for r, rng in enumerate(rngs):
+            draws[r] = rng.integers(P, size=(2, pairs, 2))
+            rng.random(out=coins[r])
+            rng.random(out=swaps[r])
+            rng.random(out=flips[r])
+        a, b = draws[..., 0], draws[..., 1]  # (R, 2, pairs)
+        winners = np.where(fits[runs[:, None, None], a] <= fits[runs[:, None, None], b], a, b)
+        pa, pb = pop[rows, winners[:, 0]], pop[rows, winners[:, 1]]
+        swap = (swaps < 0.5) & (coins < cfg.crossover_rate)[:, :, None]
+        # children alternate c1, c2 pair by pair; an odd count drops the last c2
+        children = np.stack(
+            [np.where(swap, pb, pa), np.where(swap, pa, pb)], axis=2
+        ).reshape(R, 2 * pairs, p)[:, :n_children]
+        children ^= flips < mut
+        pop = np.concatenate([elite, children], axis=1)
+        fits = fits_of(pop)
+        gen_best = fits.argmin(axis=1)
+        better = fits[runs, gen_best] < best_fit
+        best_fit = np.where(better, fits[runs, gen_best], best_fit)
+        best[better] = pop[better, gen_best[better]]
 
     win_counts: dict[bytes, int] = {}
-    for run in range(cfg.runs):
-        rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, run)))
-        pop = rng.random((cfg.pop_size, p)) < 0.5
-        keys, fits = fits_of(pop)
-        best = int(np.argmin(fits))
-        best_key, best_fit = keys[best], fits[best]
-        for _ in range(cfg.generations):
-            elite = pop[np.argsort(fits, kind="stable")[: cfg.elitism]]
-            draws = rng.integers(cfg.pop_size, size=(2, pairs, 2))
-            first, second = draws[..., 0], draws[..., 1]
-            winners = np.where(fits[first] <= fits[second], first, second)
-            pa, pb = pop[winners[0]], pop[winners[1]]
-            cross = rng.random(pairs) < cfg.crossover_rate
-            swap = (rng.random((pairs, p)) < 0.5) & cross[:, None]
-            # children alternate c1, c2 pair by pair; an odd count drops the last c2
-            children = np.stack(
-                [np.where(swap, pb, pa), np.where(swap, pa, pb)], axis=1
-            ).reshape(2 * pairs, p)[:n_children]
-            children ^= rng.random((n_children, p)) < mut
-            pop = np.concatenate([elite, children])
-            keys, fits = fits_of(pop)
-            gen_best = int(np.argmin(fits))
-            if fits[gen_best] < best_fit:
-                best_key, best_fit = keys[gen_best], fits[gen_best]
-        win_counts[best_key] = win_counts.get(best_key, 0) + 1
-
+    for key in best.view(row_record).ravel().tolist():
+        win_counts[key] = win_counts.get(key, 0) + 1
     records = []
     for key, count in win_counts.items():
         mask = CovariateMask(np.frombuffer(key, dtype=bool).copy())

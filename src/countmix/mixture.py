@@ -6,6 +6,8 @@ log-sum-exp; the complete-data form appears only implicitly inside EM.
 :func:`em_fit` runs its restarts in lock-step: every EM iteration fits
 all (restart, component) refits in one block of the shared Newton driver
 in ``countglm`` and takes one posterior pass over every running restart.
+At G=1 the E-step is trivial, so EM is a loop of capped GLM block fits
+(:func:`_run_g1`), which also fits a block of covariate masks at once.
 """
 
 from __future__ import annotations
@@ -417,6 +419,75 @@ def _run_em(d, family, resp0):
     return outcome
 
 
+def _run_g1(d, family, keep=None):
+    """G=1 EM for a block of column masks over ``d.X``, all in one Newton block.
+
+    ``keep`` is a (C, p+1) boolean block whose row c keeps the columns of
+    mask c, the intercept among them, or None for the full design alone.
+    At G=1 every responsibility is 1, so each mask's weights never change:
+    its design is rank-checked once, unweighted, and each EM iteration is
+    a fit capped at ``M_STEP_FIT_MAX_ITER`` Newton steps, warm-started
+    from the last, whose log-likelihood is the observed-data one.  Each
+    mask follows :func:`_run_em`'s course at G=1 on its masked design, to
+    the last bit when ``keep`` is None; the coefficients of its dropped
+    columns are exactly 0.  Returns per mask its :class:`MixtureModel`,
+    with full-length coefficients, or the error that ended it.  Warnings
+    about rows of zero density come mask by mask.
+    """
+    C = 1 if keep is None else len(keep)
+    k = d.p + 1
+    ones = np.ones(d.n)
+    outcome: list = [None] * C
+    traces = [[] for _ in range(C)]
+    lost = [[] for _ in range(C)]  # per mask, the zero-density row count of each pass
+    for c in range(C):
+        try:
+            countglm._check_rank(d, ones, None if keep is None else np.flatnonzero(keep[c]))
+        except SingularDesignError as exc:
+            outcome[c] = exc
+    live = np.array([c for c in range(C) if outcome[c] is None], dtype=np.intp)
+    keep = None if keep is None else keep[live]
+    x = None
+    for _ in range(DEFAULT_EM_MAX_ITER):
+        if not live.size:
+            break
+        W = np.ones((live.size, d.n))
+        x, ll = countglm._fit_block(family, d, W, x, M_STEP_FIT_MAX_ITER, keep)[:2]
+        odd = np.flatnonzero(~np.isfinite(ll))
+        if odd.size:  # an overflow, or rows of zero density: the E-step's own pass decides
+            beta, alpha = x[odd, :k], np.exp(x[odd, k:]) if family == NB2 else None
+            with np.errstate(**countglm._QUIET):
+                logf, bad = countglm._density_rows(family, beta, alpha, d)
+            norm = _posterior(logf[:, :, None], np.ones((odd.size, 1)))[0]
+            ll[odd] = norm.sum(axis=1)
+            for j, c in enumerate(odd):
+                if bad[j]:
+                    outcome[live[c]] = countglm._overflow_error(family, beta, alpha, d, j)
+                else:
+                    lost[live[c]].append(int(np.count_nonzero(~np.isfinite(norm[j]))))
+        go = np.ones(live.size, dtype=bool)
+        for j, value in enumerate(ll.tolist()):
+            c = live[j]
+            trace = traces[c]
+            if outcome[c] is not None:  # its density overflowed
+                go[j] = False
+            elif trace and abs(value - trace[-1]) <= DEFAULT_EM_TOL * (1.0 + abs(value)):
+                trace.append(value)
+                outcome[c] = _model(family, (1.0,), x[j:j + 1], np.ones((d.n, 1)), trace, True)
+                go[j] = False
+            else:
+                trace.append(value)
+        if not go.all():
+            live, x = live[go], x[go]
+            keep = None if keep is None else keep[go]
+    for j, c in enumerate(live):  # stopped by the iteration cap
+        outcome[c] = _model(family, (1.0,), x[j:j + 1], np.ones((d.n, 1)), traces[c], False)
+    for counts in lost:
+        for count in counts:
+            _warn_zero_density(count, stacklevel=2)
+    return outcome
+
+
 def _model(family, pis, x, resp, trace, converged):
     return MixtureModel(
         family=family,
@@ -452,8 +523,8 @@ def em_fit(
     :class:`ComponentCollapseError` names G and the first restart
     discarded at G.  EM stops when the relative log-likelihood change is
     at most ``DEFAULT_EM_TOL`` (1e-8), or after ``DEFAULT_EM_MAX_ITER``
-    (500) iterations with ``converged=False``.  At G=1 the redraw of the
-    single all-ones column reproduces the first start, so one run is made.
+    (500) iterations with ``converged=False``.  At G=1 every start is the
+    all-ones column, so one run is made, by :func:`_run_g1`: a GLM fit.
     """
     validate_family(family)
     if G < 1:
@@ -464,17 +535,21 @@ def em_fit(
         raise DimensionError(
             f"n={d.n} is too small for G={G} components with p={d.p}"
         )
-    root = _as_seedseq(seed)
-    init_ss, *restart_ss = root.spawn(restarts + 1)
-    base = init_by_count_mixture(d, G, seed=init_ss)
-    starts = [base]
-    for ss in restart_ss[: restarts - 1 if G > 1 else 0]:
-        draws = np.random.default_rng(ss).gamma(shape=1.0 + base)  # row-wise Dirichlet(1 + one-hot)
-        starts.append(draws / draws.sum(axis=1, keepdims=True))
+    if G == 1:
+        outcomes = _run_g1(d, family)
+    else:
+        root = _as_seedseq(seed)
+        init_ss, *restart_ss = root.spawn(restarts + 1)
+        base = init_by_count_mixture(d, G, seed=init_ss)
+        starts = [base]
+        for ss in restart_ss[: restarts - 1]:
+            draws = np.random.default_rng(ss).gamma(shape=1.0 + base)  # row-wise Dirichlet(1 + one-hot)
+            starts.append(draws / draws.sum(axis=1, keepdims=True))
+        outcomes = _run_em(d, family, np.stack(starts))
 
     best = None
     notes: list[str] = []
-    for k, out in enumerate(_run_em(d, family, np.stack(starts))):
+    for k, out in enumerate(outcomes):
         if isinstance(out, (ComponentCollapseError, SingularDesignError)):
             notes.append(f"restart {k} discarded: {out}")
             continue

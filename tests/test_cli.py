@@ -516,18 +516,20 @@ class TestStandardize:
 def _tiny_csv_text(draw):
     """A small CSV near the edges of what a G=2 mixture can be fitted to.
 
-    n lies just above G(p+2) for G = 2; the last covariate may be constant
-    or a near-duplicate of the first; y may be all equal.
+    n lies just above G(p+2) for G = 2; the last covariate may be constant,
+    a near-duplicate of the first or an exact copy of it; y may be all equal.
     """
     p = draw(st.integers(1, 2))
     n = 2 * (p + 2) + draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     X = rng.normal(size=(n, p))
-    last = draw(st.sampled_from(["normal", "constant", "near_duplicate"]))
+    last = draw(st.sampled_from(["normal", "constant", "near_duplicate", "exact_duplicate"]))
     if last == "constant":
         X[:, -1] = 1.5
     elif last == "near_duplicate" and p > 1:
         X[:, -1] = X[:, 0] + 1e-9 * rng.normal(size=n)
+    elif last == "exact_duplicate" and p > 1:
+        X[:, -1] = X[:, 0]
     if draw(st.booleans()):
         y = np.full(n, draw(st.integers(0, 3)))
     else:
@@ -577,3 +579,47 @@ class TestIcompNeverATraceback:
                 "--runs", "2", "--gens", "2", *g_flags, "--out", os.path.join(tmp, "g"),
             ]
             assert run(argv) in (0, 2, 3)
+
+
+class TestExactCopies:
+    def test_g1_ga_scores_masks_with_both_copies_infinite(self, tmp_path, monkeypatch, capsys):
+        # the last covariate equals the first: a mask holding both is rank
+        # deficient, so its fit fails and it scores +inf, but the run goes on
+        import countmix.ga as ga_mod
+
+        rng = np.random.default_rng(3)
+        n = 90
+        X = rng.normal(size=(n, 3))
+        X[:, 2] = X[:, 0]
+        y = rng.poisson(np.exp(1.0 + 0.4 * X[:, 0] + 0.3 * X[:, 1]))
+        path = tmp_path / "copies.csv"
+        lines = ["y,x1,x2,x3"] + [
+            ",".join([str(int(y[i]))] + [repr(float(v)) for v in X[i]]) for i in range(n)
+        ]
+        path.write_text("\n".join(lines) + "\n")
+        real_rows = ga_mod._g1_rows
+        scored = {}
+
+        def recording(masks, *args, **kwargs):
+            rows = real_rows(masks, *args, **kwargs)
+            for mask, r in zip(masks, rows):
+                scored[tuple(mask.bits.tolist())] = ga_mod._value(r, 1, "caic")
+            return rows
+
+        monkeypatch.setattr(ga_mod, "_g1_rows", recording)
+        out = tmp_path / "ga"
+        code = run(
+            [
+                "ga", "--data", str(path), "--outcome", "y", "--covariates", "x1,x2,x3",
+                "--seed", "2", "--g", "1", "--family", "poisson", "--runs", "10",
+                "--gens", "5", "--out", str(out),
+            ]
+        )
+        assert code == 0
+        assert "Traceback" not in capsys.readouterr().err
+        assert len(scored) == 8  # every mask was met
+        for bits, value in scored.items():
+            assert (value == np.inf) == (bits[0] and bits[2])
+        records = json.loads((out / "report.json").read_text())["ga_records"]
+        assert records
+        assert not any(r["bits"][0] and r["bits"][2] for r in records)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from countmix import (
+    NB2,
     POISSON,
     ComponentParams,
     CovariateMask,
@@ -24,14 +25,20 @@ from countmix import ga as ga_mod
 from countmix.errors import DomainError
 
 
-def _regression_dataset(p=2, important=(0,), n=160, seed=9):
-    """Poisson data where only the listed covariate indices enter the mean."""
+def _regression_dataset(p=2, important=(0,), n=160, seed=9, alpha=0.0):
+    """Poisson data where only the listed covariate indices enter the mean.
+
+    A positive ``alpha`` makes them NB-2 counts with that dispersion.
+    """
     rng = np.random.default_rng(seed)
     X = np.column_stack([np.ones(n), rng.normal(size=(n, p))])
     eta = 1.0
     for j in important:
         eta = eta + 0.8 * X[:, j + 1]
-    y = rng.poisson(np.exp(eta))
+    mu = np.exp(eta)
+    if alpha > 0.0:
+        mu = rng.gamma(1.0 / alpha, alpha * mu)
+    y = rng.poisson(mu)
     names = tuple(f"x{j + 1}" for j in range(p))
     return Dataset(y=y, X=X, names=names)
 
@@ -90,29 +97,23 @@ class TestFitness:
         assert val == row.caic
 
     def test_cache_hit_returns_identical_value(self, monkeypatch):
+        # at G=1 a mask is fitted by the masked GLM block fit, here a block of one
         d = _regression_dataset(seed=11)
         cache = {}
-        calls = {"n": 0}
-        real = ga_mod.em_fit
-
-        def counting(*args, **kwargs):
-            calls["n"] += 1
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(ga_mod, "em_fit", counting)
+        calls = _counting(monkeypatch, ga_mod, "_run_g1")
         mask = CovariateMask.from_numbers(d.p, (1,))
         v1 = fitness(mask, d, 1, POISSON, "caic", cache, seed=0, restarts=1)
         v2 = fitness(mask, d, 1, POISSON, "caic", cache, seed=0, restarts=1)
         assert v1 == v2
-        assert calls["n"] == 1
+        assert len(calls) == 1
 
     def test_fit_failure_scores_infinity(self, monkeypatch):
         d = _regression_dataset(seed=12)
 
-        def broken(*args, **kwargs):
-            raise DomainError("forced for test")
+        def broken(data, family, keep):  # every mask of the block fails
+            return [DomainError("forced for test")] * len(keep)
 
-        monkeypatch.setattr(ga_mod, "em_fit", broken)
+        monkeypatch.setattr(ga_mod, "_run_g1", broken)
         val = fitness(
             CovariateMask.all_ones(d.p), d, 1, POISSON, "caic", {}, seed=0
         )
@@ -178,7 +179,7 @@ class TestFitness:
         x1 = rng.normal(size=n)
         X = np.column_stack([np.ones(n), x1, x1 + 1e-7 * rng.normal(size=n)])
         d = Dataset(y=rng.poisson(np.exp(1.0 + 0.3 * x1)), X=X, names=("x1", "x2"))
-        calls = _counting(monkeypatch, ga_mod, "em_fit")
+        calls = _counting(monkeypatch, ga_mod, "_run_g1")  # the G=1 fit of a block of masks
         mask, cache = CovariateMask.all_ones(d.p), {}
         for criterion in criteria:
             fitness(mask, d, 1, POISSON, criterion, cache, seed=0, restarts=1)
@@ -262,16 +263,34 @@ class TestEvolve:
         ]
 
     def test_fitness_called_once_per_distinct_mask(self, monkeypatch):
+        # at G=1 each generation's new masks are fitted as one block
         d = _regression_dataset(p=4, important=(0,), seed=17)
-        calls = _counting(monkeypatch, ga_mod, "fitness")
+        calls = _counting(monkeypatch, ga_mod, "_g1_rows")
         cfg = GaConfig(
             pop_size=6, generations=4, runs=8, seed=13, G=1, restarts=1,
             criterion="caic", elitism=1,
         )
         evolve(d, cfg, family=POISSON)
-        keys = [args[0].key for args in calls]
+        keys = [mask.key for args in calls for mask in args[0]]
         assert len(keys) == len(set(keys))
         assert len(keys) < cfg.runs * (cfg.generations + 1) * cfg.pop_size
+        assert 0 < len(calls) <= cfg.generations + 1
+
+    def test_g1_blocks_stay_within_the_float_budget(self, monkeypatch):
+        # a block's largest array holds masks x n x (p+1) floats; past the
+        # budget the masks are fitted in several blocks, to the same rows
+        d = _regression_dataset(p=4, important=(0,), seed=17)
+        masks = [
+            CovariateMask(np.array(bits, dtype=bool))
+            for bits in itertools.product([False, True], repeat=d.p)
+        ]
+        whole = ga_mod._g1_rows(masks, d, POISSON, False)
+        monkeypatch.setattr(ga_mod, "_BLOCK_FLOATS", 5 * d.n * (d.p + 1))
+        calls = _counting(monkeypatch, ga_mod, "_run_g1")
+        split = ga_mod._g1_rows(masks, d, POISSON, False)
+        assert [len(args[2]) for args in calls] == [5, 5, 5, 1]
+        for a, b in zip(whole, split):
+            assert a[0].caic == pytest.approx(b[0].caic, rel=1e-12)
 
     def test_caic_ga_skips_observed_info_and_icomp_ga_uses_it(self, monkeypatch):
         from countmix import apply_mask, score_model
@@ -286,26 +305,29 @@ class TestEvolve:
         evolve(d, cfg, family=POISSON)
         assert info_calls == []
 
-        real_fitness = ga_mod.fitness
+        real_rows = ga_mod._g1_rows
         values = {}
 
-        def recording(mask, *args, **kwargs):
-            values[mask.key] = (mask, real_fitness(mask, *args, **kwargs))
-            return values[mask.key][1]
+        def recording(masks, *args, **kwargs):
+            rows = real_rows(masks, *args, **kwargs)
+            for mask, r in zip(masks, rows):
+                values[mask.key] = (mask, ga_mod._value(r, 1, "icomp"))
+            return rows
 
-        monkeypatch.setattr(ga_mod, "fitness", recording)
+        monkeypatch.setattr(ga_mod, "_g1_rows", recording)
         evolve(d, dataclasses.replace(cfg, criterion="icomp"), family=POISSON)
         assert len(info_calls) == len(values) > 0
         for mask, value in values.values():
             sub = apply_mask(d, mask)
             icomp = score_model(em_fit(sub, 1, POISSON, seed=13, restarts=1), sub).icomp
-            assert value == (np.inf if icomp is None else icomp)
+            # the block's fit agrees with the fit on the masked design up to rounding
+            assert value == (np.inf if icomp is None else pytest.approx(icomp, rel=1e-12))
 
     def test_full_mutation_without_crossover_complements_parents(self, monkeypatch):
         # each child is a tournament winner with every bit flipped, so every
         # mask a run visits is an initial member or the complement of one
         d = _regression_dataset(p=6, important=(0,), seed=16)
-        calls = _counting(monkeypatch, ga_mod, "fitness")
+        calls = _counting(monkeypatch, ga_mod, "_g1_rows")
         cfg = GaConfig(
             pop_size=6, generations=3, runs=3, seed=11, G=1, restarts=1,
             criterion="caic", elitism=2, crossover_rate=0.0, mutation_rate=1.0,
@@ -317,7 +339,7 @@ class TestEvolve:
             pop = rng.random((cfg.pop_size, d.p)) < 0.5
             initial.update(row.tobytes() for row in pop)
             complements.update((~row).tobytes() for row in pop)
-        seen = {args[0].key for args in calls}
+        seen = {mask.key for args in calls for mask in args[0]}
         assert seen <= initial | complements
         assert seen - initial
 
@@ -371,6 +393,38 @@ class TestEvolve:
         res = sweep(apply_mask(d, mask), 2, seed=2, restarts=1, family=POISSON)
         best_row = next(r for r in res.rows if r.G == res.best["caic"])
         assert val == best_row.caic
+
+
+class TestLockStepOracle:
+    """The lock-step runs make the serial loop's masks, wins and record order."""
+
+    @pytest.mark.parametrize(
+        "family, p, kwargs",
+        [
+            # pop 7 - elitism 2 leaves an odd number of children
+            (POISSON, 4, dict(pop_size=7, elitism=2, criterion="caic")),
+            (POISSON, 5, dict(pop_size=6, elitism=0, criterion="aic")),
+            (POISSON, 6, dict(pop_size=6, elitism=1, crossover_rate=0.0, mutation_rate=1.0)),
+            (NB2, 4, dict(pop_size=4, elitism=1, generations=1, criterion="icomp")),
+            (POISSON, 3, dict(pop_size=4, elitism=1, G=2, generations=1, runs=4, criterion="sbc")),
+        ],
+        ids=["odd_children", "no_elitism", "full_mutation_no_crossover", "nb2_icomp", "fixed_g2"],
+    )
+    def test_equals_serial_loop(self, family, p, kwargs):
+        from serial_ga import evolve_serial
+
+        # NB-2 data keep the dispersion clear of its lower bound, where the
+        # likelihood is too flat for fits in different blocks to agree to rounding
+        alpha = 0.5 if family == NB2 else 0.0
+        d = _regression_dataset(p=p, important=(0,), n=150, seed=30 + p, alpha=alpha)
+        cfg = GaConfig(**{**dict(generations=4, runs=12, seed=5, G=1, restarts=1), **kwargs})
+        lock_step = evolve(d, cfg, family=family)
+        serial = evolve_serial(d, cfg, family)
+        assert len({r.mask.key for r in serial}) > 1  # the runs do not all agree
+        assert [(r.mask.key, r.wins) for r in lock_step] == [(r.mask.key, r.wins) for r in serial]
+        for a, b in zip(lock_step, serial):
+            for crit in ("aic", "caic", "sbc"):
+                assert getattr(a, crit) == pytest.approx(getattr(b, crit), rel=1e-12)
 
 
 def _handmade_model_and_data():

@@ -400,14 +400,14 @@ class TestEmFit:
     def test_single_component_runs_one_restart(self, poisson_data, monkeypatch):
         d = poisson_data(n=80, seed=22)
         one = em_fit(d, 1, POISSON, seed=4, restarts=1)
-        real = mixture_mod._m_step
+        real = mixture_mod.countglm._fit_block
         stacks = []
 
-        def counting(resp, *args, **kwargs):
-            stacks.append(resp.shape[0])
-            return real(resp, *args, **kwargs)
+        def counting(family, data, W, *args, **kwargs):  # one G=1 EM iteration's fit
+            stacks.append(W.shape[0])
+            return real(family, data, W, *args, **kwargs)
 
-        monkeypatch.setattr(mixture_mod, "_m_step", counting)
+        monkeypatch.setattr(mixture_mod.countglm, "_fit_block", counting)
         five = em_fit(d, 1, POISSON, seed=4, restarts=5)
         assert stacks == [1] * five.iterations
         for field in ("family", "logL", "converged", "iterations", "warnings"):
@@ -494,4 +494,124 @@ class TestLockStepRestarts:
         assert [int(str(w.message).split()[0]) for w in lost] == [
             1 + t + 4 * r for r in range(ran) for t in range(3)
         ]
+        assert all(w.filename == mixture_mod.__file__ for w in lost)  # em_fit's call site
+
+
+def _masked_data(family, seed, n=120, p=4):
+    rng = np.random.default_rng(seed)
+    X = np.column_stack([np.ones(n), rng.normal(size=(n, p))])
+    mu = np.exp(1.0 + 0.4 * X[:, 1] - 0.3 * X[:, 3])
+    if family == NB2:
+        mu = rng.gamma(2.0, mu / 2.0)
+    return Dataset(y=rng.poisson(mu), X=X, names=tuple(f"x{j + 1}" for j in range(p)))
+
+
+def _all_masks(p):
+    """Every (2^p, p+1) column mask over an intercept-first design."""
+    bits = (np.arange(2**p)[:, None] >> np.arange(p)) & 1
+    return np.column_stack([np.ones(2**p, dtype=bool), bits.astype(bool)])
+
+
+class TestMaskedG1Block:
+    """The G=1 fit of a block of column masks over one shared design."""
+
+    @pytest.mark.parametrize("family", [POISSON, NB2])
+    def test_dropped_coefficients_stay_exactly_zero(self, family):
+        d = _masked_data(family, 40)
+        keep = _all_masks(d.p)
+        W = np.ones((len(keep), d.n))
+        x = mixture_mod.countglm._fit_block(family, d, W, None, 100, keep)[0]
+        assert np.all(x[:, : d.p + 1][~keep] == 0.0)
+        assert np.any(x[:, : d.p + 1][keep] != 0.0)
+        for m, k in zip(mixture_mod._run_g1(d, family, keep), keep):
+            assert np.all(m.components[0].beta[~k] == 0.0)
+
+    @pytest.mark.parametrize("family", [POISSON, NB2])
+    def test_row_of_full_block_equals_its_block_of_one(self, family):
+        # the block's makeup may move only the last bits of a row's fit
+        d = _masked_data(family, 41)
+        keep = _all_masks(d.p)
+        block = mixture_mod._run_g1(d, family, keep)
+        for c, m in enumerate(block):
+            (one,) = mixture_mod._run_g1(d, family, keep[c : c + 1])
+            assert m.converged == one.converged
+            assert m.iterations == one.iterations
+            assert m.logL == pytest.approx(one.logL, rel=1e-12)
+
+    @pytest.mark.parametrize("family", [POISSON, NB2])
+    def test_row_equals_em_fit_on_the_masked_design(self, family):
+        from countmix import CovariateMask, apply_mask
+
+        d = _masked_data(family, 42)
+        keep = _all_masks(d.p)
+        for k, m in zip(keep, mixture_mod._run_g1(d, family, keep)):
+            ref = em_fit(apply_mask(d, CovariateMask(k[1:])), 1, family, seed=0, restarts=1)
+            assert (m.converged, m.iterations) == (ref.converged, ref.iterations)
+            assert m.logL == pytest.approx(ref.logL, rel=1e-12)
+            np.testing.assert_allclose(m.loglik_trace, ref.loglik_trace, rtol=1e-12)
+            # the coefficients agree to the fit's stopping rule, not to rounding:
+            # NB-2's logL is flat enough in alpha that last-bit steps move it
+            np.testing.assert_allclose(m.components[0].beta[k], ref.components[0].beta, atol=1e-6)
+            assert m.components[0].alpha == pytest.approx(ref.components[0].alpha, abs=1e-6)
+
+    @pytest.mark.parametrize(
+        "family, seed, trace, beta, alpha",
+        [
+            (POISSON, 31, "-0x1.c035258cdfcc1p+7",
+             ("0x1.053b8b66c6fcep+0", "0x1.9bde460c970d5p-2",
+              "-0x1.73a1a1870f664p-4", "-0x1.6d7683626066ap-2"), "0x0.0p+0"),
+            (NB2, 32, "-0x1.ea175dfc33ad5p+7",
+             ("0x1.aac13aaea9598p-1", "0x1.a38bf20b975bap-2",
+              "-0x1.026024ae0b70ep-3", "-0x1.bdf187c55e45cp-2"), "0x1.690e6325a7b75p-1"),
+        ],
+    )
+    def test_em_fit_g1_bitwise_equals_stored_result(self, family, seed, trace, beta, alpha):
+        # stored from the lock-step EM path that fitted G=1 before the G=1 loop
+        d = _masked_data(family, seed, n=120, p=3)
+        m = em_fit(d, 1, family, seed=0, restarts=1)
+        assert (m.converged, m.iterations, m.G) == (True, 2, 1)
+        assert m.loglik_trace.tolist() == [float.fromhex(trace)] * 2
+        assert m.logL == float.fromhex(trace)
+        assert m.components[0].beta.tolist() == [float.fromhex(b) for b in beta]
+        assert m.components[0].alpha == float.fromhex(alpha)
+        assert m.components[0].pi == 1.0
+        np.testing.assert_array_equal(m.responsibilities, np.ones((d.n, 1)))
+
+    @pytest.mark.parametrize("overflow", [False, True], ids=["zero_density", "overflow"])
+    def test_g1_e_step_pass_warns_and_raises(self, monkeypatch, overflow, poisson_data):
+        # a fit whose logL is not finite gets the E-step's own density pass:
+        # its rows of zero density are warned about, an overflow ends the fit
+        d = poisson_data(n=80, seed=43)
+        real_fit, real_density = mixture_mod.countglm._fit_block, mixture_mod.countglm._density_rows
+        passes = {"t": 0}
+
+        def fit(*args, **kwargs):
+            x, ll, converged, iterations = real_fit(*args, **kwargs)
+            if passes["t"] < 2:
+                ll[0] = -np.inf
+            return x, ll, converged, iterations
+
+        def density(*args, **kwargs):
+            logf, bad = real_density(*args, **kwargs)
+            if sys._getframe(1).f_code is mixture_mod._run_g1.__code__:
+                t = passes["t"]
+                passes["t"] += 1
+                logf[0, : 1 + 2 * t] = -np.inf
+                bad[0] = overflow and t == 1
+            return logf, bad
+
+        monkeypatch.setattr(mixture_mod.countglm, "_fit_block", fit)
+        monkeypatch.setattr(mixture_mod.countglm, "_density_rows", density)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            if overflow:
+                with pytest.raises(NumericOverflowError):
+                    em_fit(d, 1, POISSON, seed=0, restarts=1)
+            else:
+                m = em_fit(d, 1, POISSON, seed=0, restarts=1)
+                assert m.converged and m.iterations == 4
+                assert m.loglik_trace[:2].tolist() == [-np.inf, -np.inf]
+                assert np.isfinite(m.logL)
+        lost = [w for w in caught if "zero density" in str(w.message)]
+        assert [int(str(w.message).split()[0]) for w in lost] == ([1] if overflow else [1, 3])
         assert all(w.filename == mixture_mod.__file__ for w in lost)  # em_fit's call site
