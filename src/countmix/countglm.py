@@ -228,13 +228,16 @@ def _row_derivs(family: str, beta: np.ndarray, alpha, d: Dataset):
     return u, i_ee, tail + u, i_es, i_ss
 
 
-def _weighted_derivs(d: Dataset, W: np.ndarray, rows):
+def _weighted_derivs(d: Dataset, W: np.ndarray, rows, products=False):
     """Gradients (C, m) and information matrices (C, m, m) from :func:`_row_derivs` terms.
 
     ``W`` is the (C, n) block of weights; m is k for Poisson and k + 1
     for NB-2, whose last coordinate is s = log(alpha).  The beta-beta
     blocks are one stacked product X' diag(w_c i_c) X, so each row's
-    information is computed exactly as for a row on its own.
+    information is computed exactly as for a row on its own.  With
+    ``products`` they are instead one (C, n) @ (n, k*k) product with the
+    rows' column products x_ij x_il, the same sums in another order,
+    which makes no (C, n, k) temporary: a large block of masks uses it.
     """
     u, i_ee, v, i_es, i_ss = rows
     on = W > 0.0
@@ -243,10 +246,14 @@ def _weighted_derivs(d: Dataset, W: np.ndarray, rows):
         return np.where(on, W * r, 0.0)
 
     grad = weighted(u) @ d.X
-    beta_info = d.X.T @ (d.X * weighted(i_ee)[:, :, None])
+    C, k = grad.shape
+    if products:
+        pairs = (d.X[:, :, None] * d.X[:, None, :]).reshape(-1, k * k)
+        beta_info = (weighted(i_ee) @ pairs).reshape(C, k, k)
+    else:
+        beta_info = d.X.T @ (d.X * weighted(i_ee)[:, :, None])
     if v is None:
         return grad, beta_info
-    C, k = grad.shape
     info = np.empty((C, k + 1, k + 1))
     info[:, :k, :k] = beta_info
     info[:, :k, k] = info[:, k, :k] = weighted(i_es) @ d.X
@@ -266,7 +273,8 @@ def _derivs(family: str, x: np.ndarray, d: Dataset, W: np.ndarray, keep=None):
     """
     k = d.X.shape[1]
     alpha = np.exp(x[:, k:]) if family == NB2 else None
-    grad, info = _weighted_derivs(d, W, _row_derivs(family, x[:, :k], alpha, d))
+    rows = _row_derivs(family, x[:, :k], alpha, d)
+    grad, info = _weighted_derivs(d, W, rows, products=keep is not None)
     if keep is None:
         return grad, info
     m = grad.shape[1]

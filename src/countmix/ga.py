@@ -3,8 +3,8 @@
 Each chromosome is a covariate inclusion mask; fitness is an information
 criterion of the mixture refit on the masked design (lower is fitter).
 Fitness is pure up to rounding, so a mask-keyed cache is shared across
-runs and generations; at G=1 the masks are fitted in blocks of one
-masked GLM fit over the full design.
+runs and generations; at G=1 each generation's new masks are fitted
+together, as one block of masked GLM fits over the full design.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .data import (
     summary_stats,
 )
 from .errors import CountmixError, DomainError, NoScoreError
-from .mixture import MixtureModel, _component_stacks, _run_g1, em_fit
+from .mixture import MixtureModel, _component_stacks, _run_em, em_fit
 from .selection import (
     DEFAULT_G_MAX,
     _criterion_value,
@@ -43,9 +43,6 @@ CONSTANT_VAR_TOL = 1e-12
 AUTO = "auto"
 PER_MASK = "per-mask"
 _ICOMP_SCORED = "icomp-scored"  # see fitness
-# the most floats in a G=1 block's largest array, masks x n x (p+1): the
-# default 200 runs x 30 draws can bring thousands of new masks at once
-_BLOCK_FLOATS = 2**21
 
 
 def _check_g(G, words: tuple[str, ...]) -> None:
@@ -168,20 +165,20 @@ def mask_row(rows, G: int | str, criterion: str) -> ScoreRow | None:
 
 
 def _g1_rows(masks, d: Dataset, family: str, with_icomp: bool) -> list:
-    """:func:`fit_mask`'s rows at G=1 for a block of masks, from :func:`_run_g1`.
+    """:func:`fit_mask`'s rows at G=1 for a block of masks.
 
-    The masks are fitted together in one Newton block over ``d.X``, or
-    in as few as keep each block's largest array within
-    ``_BLOCK_FLOATS``.  A mask's row is None when its fit fails, as a
-    failed :func:`fit_mask` is; one too large for n (p+2 > n) is not fitted.
+    The masks are fitted together by one :func:`_run_em` over ``d.X``,
+    one mask per restart, each from the all-ones start that
+    :func:`em_fit` takes at G=1; every Newton block then holds all the
+    masks still running, so its memory grows as masks x n x (p+1).  A
+    mask's row is None when its fit fails, as a failed :func:`fit_mask`
+    is; one too large for n (p+2 > n) is not fitted.
     """
     keep = np.ones((len(masks), d.p + 1), dtype=bool)
     keep[:, 1:] = [m.bits for m in masks]
     sized = np.flatnonzero(keep.sum(axis=1) < d.n)  # n >= p+2, as em_fit requires
-    step = max(1, _BLOCK_FLOATS // (d.n * (d.p + 1)))
-    models = []
-    for lo in range(0, sized.size, step):
-        models += _run_g1(d, family, keep[sized[lo:lo + step]])
+    ones = np.broadcast_to(1.0, (sized.size, d.n, 1))  # every mask's start, read only
+    models = _run_em(d, family, ones, keep[sized]) if sized.size else []
     out: list = [None] * len(masks)
     for i, model in zip(sized, models):
         if isinstance(model, CountmixError):

@@ -6,8 +6,8 @@ log-sum-exp; the complete-data form appears only implicitly inside EM.
 :func:`em_fit` runs its restarts in lock-step: every EM iteration fits
 all (restart, component) refits in one block of the shared Newton driver
 in ``countglm`` and takes one posterior pass over every running restart.
-At G=1 the E-step is trivial, so EM is a loop of capped GLM block fits
-(:func:`_run_g1`), which also fits a block of covariate masks at once.
+The same loop fits a block of covariate masks at G=1, one mask per
+restart, over the shared design.
 """
 
 from __future__ import annotations
@@ -206,12 +206,13 @@ def e_step(components, d: Dataset, family: str) -> np.ndarray:
     return resp
 
 
-def _restart_failure(W: np.ndarray, d: Dataset):
+def _restart_failure(W: np.ndarray, d: Dataset, cols=None):
     """The error one restart's M-step raises on its (G, n) weight rows, or None.
 
     Components are checked in order: an effective sample sum_i r_ig below
     p+2 is a :class:`ComponentCollapseError`, a rank-deficient weighted
-    design a :class:`SingularDesignError`.
+    design a :class:`SingularDesignError`.  ``cols`` optionally picks the
+    columns of ``d.X`` that make the restart's design.
     """
     for g, w in enumerate(W):
         mass = w.sum()
@@ -220,31 +221,37 @@ def _restart_failure(W: np.ndarray, d: Dataset):
                 f"component {g}: effective sample {mass:.3f} < p+2={d.p + 2}"
             )
         try:
-            countglm._check_rank(d, w)
+            countglm._check_rank(d, w, cols)
         except SingularDesignError as exc:
             return exc
     return None
 
 
-def _m_step(resp: np.ndarray, d: Dataset, family: str, prev):
+def _m_step(resp: np.ndarray, d: Dataset, family: str, prev, columns=None):
     """One M-step for a stack of R restarts, all R*G refits in one Newton block.
 
     ``resp`` is (R, n, G) with entries in [0, 1]; ``prev`` holds the
     previous parameter rows (R*G, m) in the Newton driver's layout (beta,
-    then log alpha for NB-2), or None for cold starts.  Returns the
-    mixture weights (R, G), the new rows (R*G, m; NaN for a failed
-    restart) and per restart the error that discards it, or None.
+    then log alpha for NB-2), or None for cold starts.  ``columns`` is
+    an optional (R, k) column mask over ``d.X`` per restart (see
+    :func:`_run_em`).  Returns the mixture weights (R, G), the new rows
+    (R*G, m; NaN for a failed restart) and per restart the error that
+    discards it, or None.
     """
     R, n, G = resp.shape
     pis = resp.sum(axis=1) / n  # the mean over rows
     pis = pis / pis.sum(axis=1, keepdims=True)
     W = np.clip(resp.transpose(0, 2, 1).reshape(R * G, n), 0.0, 1.0)
-    failures = [_restart_failure(W[r * G:(r + 1) * G], d) for r in range(R)]
+    failures = [
+        _restart_failure(W[r * G:(r + 1) * G], d, None if columns is None else np.flatnonzero(columns[r]))
+        for r in range(R)
+    ]
     cols = np.repeat([f is None for f in failures], G)
     x = np.full((R * G, d.p + 1 + (family == NB2)), np.nan)
     if cols.any():
         init = None if prev is None else prev[cols]
-        x[cols] = countglm._fit_block(family, d, W[cols], init, M_STEP_FIT_MAX_ITER)[0]
+        block = None if columns is None else np.repeat(columns, G, axis=0)[cols]
+        x[cols] = countglm._fit_block(family, d, W[cols], init, M_STEP_FIT_MAX_ITER, block)[0]
     return pis, x, failures
 
 
@@ -346,7 +353,7 @@ def init_by_count_mixture(d: Dataset, G: int, seed=0) -> np.ndarray:
     return hard
 
 
-def _run_em(d, family, resp0):
+def _run_em(d, family, resp0, columns=None):
     """Lock-step EM from an (R, n, G) stack of starting responsibilities.
 
     Each iteration makes one M-step over the R*G weight columns of the
@@ -361,6 +368,13 @@ def _run_em(d, family, resp0):
     warnings about rows of zero density are held per restart and issued
     in the order serial runs give: restart by restart, and none after the
     first restart that overflows, where :func:`em_fit` raises.
+
+    ``columns`` is an optional (R, k) boolean block of the columns of
+    ``d.X`` (the intercept among them) that restart r's design keeps:
+    its dropped coefficients stay exactly 0 (see ``countglm._derivs``),
+    so each restart is the fit of its masked design, up to rounding.
+    With G=1 this fits R covariate masks at once; they are separate
+    fits, so an overflow in one does not hold back the others' warnings.
     """
     R, n, G = resp0.shape
     k = d.p + 1
@@ -369,7 +383,7 @@ def _run_em(d, family, resp0):
     lost = [[] for _ in range(R)]  # per restart, the zero-density row count of each pass
     live, resp, x = np.arange(R), resp0, None
     for _ in range(DEFAULT_EM_MAX_ITER):
-        pis, x, ended = _m_step(resp, d, family, x)
+        pis, x, ended = _m_step(resp, d, family, x, None if columns is None else columns[live])
         for j, pi in enumerate(pis):
             if ended[j] is None and pi.min() < 1.0 / (2.0 * n):
                 ended[j] = ComponentCollapseError(
@@ -414,77 +428,8 @@ def _run_em(d, family, resp0):
     for counts, out in zip(lost, outcome):
         for count in counts:
             _warn_zero_density(count, stacklevel=2)
-        if isinstance(out, NumericOverflowError):
+        if columns is None and isinstance(out, NumericOverflowError):
             break
-    return outcome
-
-
-def _run_g1(d, family, keep=None):
-    """G=1 EM for a block of column masks over ``d.X``, all in one Newton block.
-
-    ``keep`` is a (C, p+1) boolean block whose row c keeps the columns of
-    mask c, the intercept among them, or None for the full design alone.
-    At G=1 every responsibility is 1, so each mask's weights never change:
-    its design is rank-checked once, unweighted, and each EM iteration is
-    a fit capped at ``M_STEP_FIT_MAX_ITER`` Newton steps, warm-started
-    from the last, whose log-likelihood is the observed-data one.  Each
-    mask follows :func:`_run_em`'s course at G=1 on its masked design, to
-    the last bit when ``keep`` is None; the coefficients of its dropped
-    columns are exactly 0.  Returns per mask its :class:`MixtureModel`,
-    with full-length coefficients, or the error that ended it.  Warnings
-    about rows of zero density come mask by mask.
-    """
-    C = 1 if keep is None else len(keep)
-    k = d.p + 1
-    ones = np.ones(d.n)
-    outcome: list = [None] * C
-    traces = [[] for _ in range(C)]
-    lost = [[] for _ in range(C)]  # per mask, the zero-density row count of each pass
-    for c in range(C):
-        try:
-            countglm._check_rank(d, ones, None if keep is None else np.flatnonzero(keep[c]))
-        except SingularDesignError as exc:
-            outcome[c] = exc
-    live = np.array([c for c in range(C) if outcome[c] is None], dtype=np.intp)
-    keep = None if keep is None else keep[live]
-    x = None
-    for _ in range(DEFAULT_EM_MAX_ITER):
-        if not live.size:
-            break
-        W = np.ones((live.size, d.n))
-        x, ll = countglm._fit_block(family, d, W, x, M_STEP_FIT_MAX_ITER, keep)[:2]
-        odd = np.flatnonzero(~np.isfinite(ll))
-        if odd.size:  # an overflow, or rows of zero density: the E-step's own pass decides
-            beta, alpha = x[odd, :k], np.exp(x[odd, k:]) if family == NB2 else None
-            with np.errstate(**countglm._QUIET):
-                logf, bad = countglm._density_rows(family, beta, alpha, d)
-            norm = _posterior(logf[:, :, None], np.ones((odd.size, 1)))[0]
-            ll[odd] = norm.sum(axis=1)
-            for j, c in enumerate(odd):
-                if bad[j]:
-                    outcome[live[c]] = countglm._overflow_error(family, beta, alpha, d, j)
-                else:
-                    lost[live[c]].append(int(np.count_nonzero(~np.isfinite(norm[j]))))
-        go = np.ones(live.size, dtype=bool)
-        for j, value in enumerate(ll.tolist()):
-            c = live[j]
-            trace = traces[c]
-            if outcome[c] is not None:  # its density overflowed
-                go[j] = False
-            elif trace and abs(value - trace[-1]) <= DEFAULT_EM_TOL * (1.0 + abs(value)):
-                trace.append(value)
-                outcome[c] = _model(family, (1.0,), x[j:j + 1], np.ones((d.n, 1)), trace, True)
-                go[j] = False
-            else:
-                trace.append(value)
-        if not go.all():
-            live, x = live[go], x[go]
-            keep = None if keep is None else keep[go]
-    for j, c in enumerate(live):  # stopped by the iteration cap
-        outcome[c] = _model(family, (1.0,), x[j:j + 1], np.ones((d.n, 1)), traces[c], False)
-    for counts in lost:
-        for count in counts:
-            _warn_zero_density(count, stacklevel=2)
     return outcome
 
 
@@ -523,8 +468,8 @@ def em_fit(
     :class:`ComponentCollapseError` names G and the first restart
     discarded at G.  EM stops when the relative log-likelihood change is
     at most ``DEFAULT_EM_TOL`` (1e-8), or after ``DEFAULT_EM_MAX_ITER``
-    (500) iterations with ``converged=False``.  At G=1 every start is the
-    all-ones column, so one run is made, by :func:`_run_g1`: a GLM fit.
+    (500) iterations with ``converged=False``.  At G=1 the redraw of the
+    single all-ones column reproduces the first start, so one run is made.
     """
     validate_family(family)
     if G < 1:
@@ -535,21 +480,17 @@ def em_fit(
         raise DimensionError(
             f"n={d.n} is too small for G={G} components with p={d.p}"
         )
-    if G == 1:
-        outcomes = _run_g1(d, family)
-    else:
-        root = _as_seedseq(seed)
-        init_ss, *restart_ss = root.spawn(restarts + 1)
-        base = init_by_count_mixture(d, G, seed=init_ss)
-        starts = [base]
-        for ss in restart_ss[: restarts - 1]:
-            draws = np.random.default_rng(ss).gamma(shape=1.0 + base)  # row-wise Dirichlet(1 + one-hot)
-            starts.append(draws / draws.sum(axis=1, keepdims=True))
-        outcomes = _run_em(d, family, np.stack(starts))
+    root = _as_seedseq(seed)
+    init_ss, *restart_ss = root.spawn(restarts + 1)
+    base = init_by_count_mixture(d, G, seed=init_ss)
+    starts = [base]
+    for ss in restart_ss[: restarts - 1 if G > 1 else 0]:
+        draws = np.random.default_rng(ss).gamma(shape=1.0 + base)  # row-wise Dirichlet(1 + one-hot)
+        starts.append(draws / draws.sum(axis=1, keepdims=True))
 
     best = None
     notes: list[str] = []
-    for k, out in enumerate(outcomes):
+    for k, out in enumerate(_run_em(d, family, np.stack(starts))):
         if isinstance(out, (ComponentCollapseError, SingularDesignError)):
             notes.append(f"restart {k} discarded: {out}")
             continue

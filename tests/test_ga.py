@@ -100,7 +100,7 @@ class TestFitness:
         # at G=1 a mask is fitted by the masked GLM block fit, here a block of one
         d = _regression_dataset(seed=11)
         cache = {}
-        calls = _counting(monkeypatch, ga_mod, "_run_g1")
+        calls = _counting(monkeypatch, ga_mod, "_run_em")
         mask = CovariateMask.from_numbers(d.p, (1,))
         v1 = fitness(mask, d, 1, POISSON, "caic", cache, seed=0, restarts=1)
         v2 = fitness(mask, d, 1, POISSON, "caic", cache, seed=0, restarts=1)
@@ -110,10 +110,10 @@ class TestFitness:
     def test_fit_failure_scores_infinity(self, monkeypatch):
         d = _regression_dataset(seed=12)
 
-        def broken(data, family, keep):  # every mask of the block fails
-            return [DomainError("forced for test")] * len(keep)
+        def broken(data, family, resp0, columns):  # every mask of the block fails
+            return [DomainError("forced for test")] * len(columns)
 
-        monkeypatch.setattr(ga_mod, "_run_g1", broken)
+        monkeypatch.setattr(ga_mod, "_run_em", broken)
         val = fitness(
             CovariateMask.all_ones(d.p), d, 1, POISSON, "caic", {}, seed=0
         )
@@ -179,7 +179,7 @@ class TestFitness:
         x1 = rng.normal(size=n)
         X = np.column_stack([np.ones(n), x1, x1 + 1e-7 * rng.normal(size=n)])
         d = Dataset(y=rng.poisson(np.exp(1.0 + 0.3 * x1)), X=X, names=("x1", "x2"))
-        calls = _counting(monkeypatch, ga_mod, "_run_g1")  # the G=1 fit of a block of masks
+        calls = _counting(monkeypatch, ga_mod, "_run_em")  # the G=1 fit of a block of masks
         mask, cache = CovariateMask.all_ones(d.p), {}
         for criterion in criteria:
             fitness(mask, d, 1, POISSON, criterion, cache, seed=0, restarts=1)
@@ -276,22 +276,6 @@ class TestEvolve:
         assert len(keys) < cfg.runs * (cfg.generations + 1) * cfg.pop_size
         assert 0 < len(calls) <= cfg.generations + 1
 
-    def test_g1_blocks_stay_within_the_float_budget(self, monkeypatch):
-        # a block's largest array holds masks x n x (p+1) floats; past the
-        # budget the masks are fitted in several blocks, to the same rows
-        d = _regression_dataset(p=4, important=(0,), seed=17)
-        masks = [
-            CovariateMask(np.array(bits, dtype=bool))
-            for bits in itertools.product([False, True], repeat=d.p)
-        ]
-        whole = ga_mod._g1_rows(masks, d, POISSON, False)
-        monkeypatch.setattr(ga_mod, "_BLOCK_FLOATS", 5 * d.n * (d.p + 1))
-        calls = _counting(monkeypatch, ga_mod, "_run_g1")
-        split = ga_mod._g1_rows(masks, d, POISSON, False)
-        assert [len(args[2]) for args in calls] == [5, 5, 5, 1]
-        for a, b in zip(whole, split):
-            assert a[0].caic == pytest.approx(b[0].caic, rel=1e-12)
-
     def test_caic_ga_skips_observed_info_and_icomp_ga_uses_it(self, monkeypatch):
         from countmix import apply_mask, score_model
         from countmix import criteria as criteria_mod
@@ -305,8 +289,8 @@ class TestEvolve:
         evolve(d, cfg, family=POISSON)
         assert info_calls == []
 
-        real_rows = ga_mod._g1_rows
-        values = {}
+        real_rows, real_em = ga_mod._g1_rows, ga_mod._run_em
+        values, models = {}, {}
 
         def recording(masks, *args, **kwargs):
             rows = real_rows(masks, *args, **kwargs)
@@ -314,14 +298,21 @@ class TestEvolve:
                 values[mask.key] = (mask, ga_mod._value(r, 1, "icomp"))
             return rows
 
+        def fitting(data, family, resp0, columns):  # the models each mask's score comes from
+            out = real_em(data, family, resp0, columns)
+            models.update((cols[1:].tobytes(), m) for cols, m in zip(columns, out))
+            return out
+
         monkeypatch.setattr(ga_mod, "_g1_rows", recording)
+        monkeypatch.setattr(ga_mod, "_run_em", fitting)
         evolve(d, dataclasses.replace(cfg, criterion="icomp"), family=POISSON)
-        assert len(info_calls) == len(values) > 0
+        assert len(info_calls) == len(values) == len(models) > 0
         for mask, value in values.values():
-            sub = apply_mask(d, mask)
-            icomp = score_model(em_fit(sub, 1, POISSON, seed=13, restarts=1), sub).icomp
-            # the block's fit agrees with the fit on the masked design up to rounding
-            assert value == (np.inf if icomp is None else pytest.approx(icomp, rel=1e-12))
+            model, cols = models[mask.key], np.concatenate([[True], mask.bits])
+            comp = model.components[0]
+            model = dataclasses.replace(model, components=(dataclasses.replace(comp, beta=comp.beta[cols]),))
+            icomp = score_model(model, apply_mask(d, mask)).icomp
+            assert value == (np.inf if icomp is None else icomp)
 
     def test_full_mutation_without_crossover_complements_parents(self, monkeypatch):
         # each child is a tournament winner with every bit flipped, so every

@@ -28,6 +28,7 @@ from countmix.errors import (
     DimensionError,
     DomainError,
     NumericOverflowError,
+    SingularDesignError,
 )
 
 
@@ -367,8 +368,8 @@ class TestEmFit:
         d = poisson_data(n=60, seed=20)
         real_m_step = mixture_mod._m_step
 
-        def failing_for_two(resp, data, family, prev):
-            pis, x, failures = real_m_step(resp, data, family, prev)
+        def failing_for_two(resp, data, family, prev, columns=None):
+            pis, x, failures = real_m_step(resp, data, family, prev, columns)
             if resp.shape[2] == 2:
                 failures = [ComponentCollapseError("forced for test")] * resp.shape[0]
             return pis, x, failures
@@ -400,14 +401,14 @@ class TestEmFit:
     def test_single_component_runs_one_restart(self, poisson_data, monkeypatch):
         d = poisson_data(n=80, seed=22)
         one = em_fit(d, 1, POISSON, seed=4, restarts=1)
-        real = mixture_mod.countglm._fit_block
+        real = mixture_mod._m_step
         stacks = []
 
-        def counting(family, data, W, *args, **kwargs):  # one G=1 EM iteration's fit
-            stacks.append(W.shape[0])
-            return real(family, data, W, *args, **kwargs)
+        def counting(resp, *args, **kwargs):
+            stacks.append(resp.shape[0])
+            return real(resp, *args, **kwargs)
 
-        monkeypatch.setattr(mixture_mod.countglm, "_fit_block", counting)
+        monkeypatch.setattr(mixture_mod, "_m_step", counting)
         five = em_fit(d, 1, POISSON, seed=4, restarts=5)
         assert stacks == [1] * five.iterations
         for field in ("family", "logL", "converged", "iterations", "warnings"):
@@ -500,7 +501,7 @@ class TestLockStepRestarts:
 def _masked_data(family, seed, n=120, p=4):
     rng = np.random.default_rng(seed)
     X = np.column_stack([np.ones(n), rng.normal(size=(n, p))])
-    mu = np.exp(1.0 + 0.4 * X[:, 1] - 0.3 * X[:, 3])
+    mu = np.exp(1.0 + 0.4 * X[:, 1] - 0.3 * X[:, min(3, p)])
     if family == NB2:
         mu = rng.gamma(2.0, mu / 2.0)
     return Dataset(y=rng.poisson(mu), X=X, names=tuple(f"x{j + 1}" for j in range(p)))
@@ -510,6 +511,11 @@ def _all_masks(p):
     """Every (2^p, p+1) column mask over an intercept-first design."""
     bits = (np.arange(2**p)[:, None] >> np.arange(p)) & 1
     return np.column_stack([np.ones(2**p, dtype=bool), bits.astype(bool)])
+
+
+def _fit_masks(d, family, keep):
+    """G=1 EM of a block of column masks, one per restart, as the GA runs it."""
+    return mixture_mod._run_em(d, family, np.ones((len(keep), d.n, 1)), keep)
 
 
 class TestMaskedG1Block:
@@ -523,7 +529,7 @@ class TestMaskedG1Block:
         x = mixture_mod.countglm._fit_block(family, d, W, None, 100, keep)[0]
         assert np.all(x[:, : d.p + 1][~keep] == 0.0)
         assert np.any(x[:, : d.p + 1][keep] != 0.0)
-        for m, k in zip(mixture_mod._run_g1(d, family, keep), keep):
+        for m, k in zip(_fit_masks(d, family, keep), keep):
             assert np.all(m.components[0].beta[~k] == 0.0)
 
     @pytest.mark.parametrize("family", [POISSON, NB2])
@@ -531,9 +537,9 @@ class TestMaskedG1Block:
         # the block's makeup may move only the last bits of a row's fit
         d = _masked_data(family, 41)
         keep = _all_masks(d.p)
-        block = mixture_mod._run_g1(d, family, keep)
+        block = _fit_masks(d, family, keep)
         for c, m in enumerate(block):
-            (one,) = mixture_mod._run_g1(d, family, keep[c : c + 1])
+            (one,) = _fit_masks(d, family, keep[c : c + 1])
             assert m.converged == one.converged
             assert m.iterations == one.iterations
             assert m.logL == pytest.approx(one.logL, rel=1e-12)
@@ -544,7 +550,7 @@ class TestMaskedG1Block:
 
         d = _masked_data(family, 42)
         keep = _all_masks(d.p)
-        for k, m in zip(keep, mixture_mod._run_g1(d, family, keep)):
+        for k, m in zip(keep, _fit_masks(d, family, keep)):
             ref = em_fit(apply_mask(d, CovariateMask(k[1:])), 1, family, seed=0, restarts=1)
             assert (m.converged, m.iterations) == (ref.converged, ref.iterations)
             assert m.logL == pytest.approx(ref.logL, rel=1e-12)
@@ -553,6 +559,23 @@ class TestMaskedG1Block:
             # NB-2's logL is flat enough in alpha that last-bit steps move it
             np.testing.assert_allclose(m.components[0].beta[k], ref.components[0].beta, atol=1e-6)
             assert m.components[0].alpha == pytest.approx(ref.components[0].alpha, abs=1e-6)
+
+    def test_singular_mask_fails_as_its_masked_design_does(self):
+        # x4 duplicates x1, so only the masks that keep both are rank deficient
+        from countmix import CovariateMask, apply_mask
+        from countmix.countglm import check_design_rank
+
+        d = _masked_data(POISSON, 44, p=3)
+        d = Dataset(y=d.y, X=np.column_stack([d.X, d.X[:, 1]]), names=("x1", "x2", "x3", "x4"))
+        keep = _all_masks(d.p)
+        for k, out in zip(keep, _fit_masks(d, POISSON, keep)):
+            if k[1] and k[4]:
+                with pytest.raises(SingularDesignError) as alone:
+                    check_design_rank(apply_mask(d, CovariateMask(k[1:])))
+                assert isinstance(out, SingularDesignError)
+                assert str(out) == str(alone.value)
+            else:
+                assert out.converged
 
     @pytest.mark.parametrize(
         "family, seed, trace, beta, alpha",
@@ -566,7 +589,7 @@ class TestMaskedG1Block:
         ],
     )
     def test_em_fit_g1_bitwise_equals_stored_result(self, family, seed, trace, beta, alpha):
-        # stored from the lock-step EM path that fitted G=1 before the G=1 loop
+        # stored from em_fit before the column mask went into the Newton driver
         d = _masked_data(family, seed, n=120, p=3)
         m = em_fit(d, 1, family, seed=0, restarts=1)
         assert (m.converged, m.iterations, m.G) == (True, 2, 1)
@@ -577,41 +600,26 @@ class TestMaskedG1Block:
         assert m.components[0].pi == 1.0
         np.testing.assert_array_equal(m.responsibilities, np.ones((d.n, 1)))
 
-    @pytest.mark.parametrize("overflow", [False, True], ids=["zero_density", "overflow"])
-    def test_g1_e_step_pass_warns_and_raises(self, monkeypatch, overflow, poisson_data):
-        # a fit whose logL is not finite gets the E-step's own density pass:
-        # its rows of zero density are warned about, an overflow ends the fit
-        d = poisson_data(n=80, seed=43)
-        real_fit, real_density = mixture_mod.countglm._fit_block, mixture_mod.countglm._density_rows
+    def test_one_mask_overflowing_does_not_hold_back_the_others_warnings(self, monkeypatch):
+        # masks are separate fits: mask 1's zero-density rows are warned
+        # about although mask 0, before it, overflows
+        d = _masked_data(POISSON, 43, p=2)
+        real = mixture_mod.countglm._density_rows
         passes = {"t": 0}
 
-        def fit(*args, **kwargs):
-            x, ll, converged, iterations = real_fit(*args, **kwargs)
-            if passes["t"] < 2:
-                ll[0] = -np.inf
-            return x, ll, converged, iterations
-
-        def density(*args, **kwargs):
-            logf, bad = real_density(*args, **kwargs)
-            if sys._getframe(1).f_code is mixture_mod._run_g1.__code__:
-                t = passes["t"]
+        def injecting(*args, **kwargs):
+            logf, bad = real(*args, **kwargs)
+            if sys._getframe(1).f_code is mixture_mod._run_em.__code__ and passes["t"] == 0:
                 passes["t"] += 1
-                logf[0, : 1 + 2 * t] = -np.inf
-                bad[0] = overflow and t == 1
+                bad[0] = True
+                logf[1, :3] = -np.inf
             return logf, bad
 
-        monkeypatch.setattr(mixture_mod.countglm, "_fit_block", fit)
-        monkeypatch.setattr(mixture_mod.countglm, "_density_rows", density)
+        monkeypatch.setattr(mixture_mod.countglm, "_density_rows", injecting)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            if overflow:
-                with pytest.raises(NumericOverflowError):
-                    em_fit(d, 1, POISSON, seed=0, restarts=1)
-            else:
-                m = em_fit(d, 1, POISSON, seed=0, restarts=1)
-                assert m.converged and m.iterations == 4
-                assert m.loglik_trace[:2].tolist() == [-np.inf, -np.inf]
-                assert np.isfinite(m.logL)
+            out = _fit_masks(d, POISSON, _all_masks(d.p)[:2])
+        assert isinstance(out[0], NumericOverflowError)
+        assert out[1].converged
         lost = [w for w in caught if "zero density" in str(w.message)]
-        assert [int(str(w.message).split()[0]) for w in lost] == ([1] if overflow else [1, 3])
-        assert all(w.filename == mixture_mod.__file__ for w in lost)  # em_fit's call site
+        assert [int(str(w.message).split()[0]) for w in lost] == [3]
