@@ -11,15 +11,22 @@ family on it, over beta for Poisson and (beta, log alpha) for NB-2, each
 with its own step halving and stopping rule.  The one-row likelihood
 functions and :func:`fit_poisson` / :func:`fit_nb2` are blocks of one; the
 EM M-step, the ICOMP information and the Wald SEs use the same kernel.
+
+The module needs numpy alone.  The NB-2 terms log Gamma(y + theta) -
+log Gamma(theta) and the digamma and trigamma differences at integer counts
+are rising sums, exact over the first ``Y_TABLE`` terms and asymptotic
+beyond (``_polygamma_ratio``).  The rank check screens a block of weighted
+designs with one stacked eigenvalue call (``_rank_screen``); only the rows
+it cannot clear are factored by a column-pivoted Householder QR
+(``_check_rank``), which names the dependent columns.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgeqp3 as _GEQP3
-from scipy.special import digamma, gammaln, zeta
 
 from .data import Dataset
 from .errors import (
@@ -40,8 +47,6 @@ DEFAULT_GTOL = 1e-6       # max-norm of the gradient
 DEFAULT_MAX_ITER = 100
 MAX_HALVINGS = 20
 WEIGHT_FLOOR = 1e-10      # rows below this weight are excluded from the rank check
-# direct gammaln/polygamma differences lose precision above this shape value
-_LARGE_THETA = 1e6
 # the dispersion search box on the s = log(alpha) scale
 _S_LO, _S_HI = float(np.log(ALPHA_MIN)), float(np.log(ALPHA_MAX))
 # floating-point warnings that the density and derivative formulas handle
@@ -116,34 +121,81 @@ def _log_density(family: str, eta, alpha, d: Dataset) -> np.ndarray:
     return _polygamma_ratio(d.y, theta, -1) + ylog - theta * log1p_amu - d.log_y_factorial
 
 
-# F and the term of its rising sum F(y + theta) - F(theta) = sum_{j<y} term(theta + j)
-_POLYGAMMA = {
-    -1: (gammaln, np.log),
-    0: (digamma, lambda z: 1.0 / z),
-    1: (lambda z: zeta(2.0, z), lambda z: -1.0 / z**2),  # trigamma(z) = zeta(2, z)
-}
+# Rising sums sum_{j<y} term(theta + j) take their first Y_TABLE terms from
+# a cumulative-sum table; the rest come from the asymptotic series of F.
+# Any value >= 16 keeps the series' arguments at 16 or more, where Bernoulli
+# terms through B14 reach full precision.  256 was the fastest of 16, 64,
+# 128, 256, 512 and 1024 on blocks of 2 to 256 rows with counts up to ~5000
+# (2-core x86-64 host, numpy 2.4): a table that covers every count makes no
+# series call, and the series has a fixed cost of some 20 numpy calls
+Y_TABLE = 256
+# the Bernoulli numbers B_2 .. B_14
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6)
+# the coefficients of Stirling's series for log Gamma (A&S 6.1.40) and of
+# the series for digamma (6.3.18) and trigamma (6.4.12), in powers of 1/z^2
+_LGAMMA_SERIES = tuple(b / ((2 * k + 2) * (2 * k + 1)) for k, b in enumerate(_BERNOULLI))
+_DIGAMMA_SERIES = tuple(b / (2 * k + 2) for k, b in enumerate(_BERNOULLI))
+# the term of the rising sum F(y + theta) - F(theta) = sum_{j<y} term(theta + j)
+# of log Gamma (A&S 6.1.15), digamma (6.3.6) and trigamma (6.4.6)
+_RISING_TERM = {-1: np.log, 0: lambda z: 1.0 / z, 1: lambda z: -1.0 / (z * z)}
+
+
+def _horner(coefs, u: np.ndarray) -> np.ndarray:
+    """sum_k coefs[k] * u**k, for at least two coefficients."""
+    out = u * coefs[-1]
+    out += coefs[-2]
+    for c in coefs[-3::-1]:
+        out *= u
+        out += c
+    return out
+
+
+def _asymptotic_difference(order: int, a: np.ndarray, h: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """F(b) - F(a) for b = a + h, h > 0, from the asymptotic series of F.
+
+    ``a`` is a (C, 1) column, ``h`` holds m steps and ``b`` is (C, m);
+    all arguments are at least 16, where the series through B14 is exact
+    to rounding.  The leading terms are written in log1p(h / a) and
+    h / (a b) form, so the difference does not cancel when h << a; the
+    Bernoulli sums are evaluated at a and b in one pass.
+    """
+    inv = 1.0 / np.concatenate([a, b], axis=1)
+    u = inv * inv
+    if order == -1:  # (z - 1/2) log z - z + sum_k c_k z^(1-2k)
+        sums = _horner(_LGAMMA_SERIES, u) * inv
+    elif order == 0:  # log z - 1/(2z) - sum_k c_k z^(-2k)
+        sums = _horner(_DIGAMMA_SERIES, u) * u
+    else:  # 1/z + 1/(2 z^2) + sum_k B_2k z^(-2k-1)
+        sums = _horner(_BERNOULLI, u) * (u * inv)
+    series = sums[:, 1:] - sums[:, :1]
+    ia, ib = inv[:, :1], inv[:, 1:]
+    if order == -1:
+        return (a - 0.5) * np.log1p(h * ia) + h * (np.log(b) - 1.0) + series
+    if order == 0:
+        return np.log1p(h * ia) + 0.5 * h * ia * ib - series
+    return series - h * ia * ib * (1.0 + 0.5 * (ia + ib))
 
 
 def _polygamma_ratio(y: np.ndarray, theta, order: int) -> np.ndarray:
-    """F(y + theta) - F(theta) for integer counts y.
+    """F(y + theta) - F(theta) for integer counts y >= 0.
 
     F is log Gamma for ``order=-1``, digamma for 0 and trigamma for 1.
-    ``theta`` is a scalar, or a (C, 1) column giving a (C, n) result.
-    Above ``_LARGE_THETA`` the direct difference cancels catastrophically,
-    so the rising sum is used instead.
+    ``theta`` is a scalar, or a (C, 1) column giving a (C, n) result.  The
+    first min(y, Y_TABLE) terms of the rising sum come from one cumulative
+    sum per theta; a count above Y_TABLE adds the asymptotic difference
+    from theta + Y_TABLE to theta + y.  The result is exactly 0 at y = 0.
     """
-    f, term = _POLYGAMMA[order]
-    out = f(np.asarray(y, dtype=float) + theta) - f(theta)
-    big = np.ravel(theta) > _LARGE_THETA
-    if big.any():
-        yi = np.asarray(y, dtype=np.int64)
-        ymax = int(yi.max()) if yi.size else 0
-        rows = out.reshape(big.size, -1)  # a view: one row per theta
-        for c in np.flatnonzero(big):
-            th = float(np.ravel(theta)[c])
-            steps = np.concatenate(([0.0], np.cumsum(term(th + np.arange(ymax, dtype=float)))))
-            rows[c] = steps[yi]
-    return out
+    y = np.asarray(y, dtype=np.int64)
+    col = np.reshape(theta, (-1, 1)).astype(float)
+    top = min(int(y.max()) if y.size else 0, Y_TABLE)
+    steps = np.zeros((col.shape[0], top + 1))
+    np.cumsum(_RISING_TERM[order](col + np.arange(top, dtype=float)), axis=1, out=steps[:, 1:])
+    out = steps[:, np.minimum(y, Y_TABLE)]
+    far = np.flatnonzero(y > Y_TABLE)
+    if far.size:
+        yf = y[far]
+        out[:, far] += _asymptotic_difference(order, col + Y_TABLE, (yf - Y_TABLE).astype(float), col + yf)
+    return out if np.ndim(theta) else out.reshape(y.shape)
 
 
 def _density_rows(family: str, beta: np.ndarray, alpha, d: Dataset):
@@ -228,6 +280,12 @@ def _row_derivs(family: str, beta: np.ndarray, alpha, d: Dataset):
     return u, i_ee, tail + u, i_es, i_ss
 
 
+def _column_products(X: np.ndarray) -> np.ndarray:
+    """The (n, k*k) products x_ij x_il of the columns of each row of X."""
+    k = X.shape[1]
+    return (X[:, :, None] * X[:, None, :]).reshape(-1, k * k)
+
+
 def _weighted_derivs(d: Dataset, W: np.ndarray, rows, products=False):
     """Gradients (C, m) and information matrices (C, m, m) from :func:`_row_derivs` terms.
 
@@ -248,8 +306,7 @@ def _weighted_derivs(d: Dataset, W: np.ndarray, rows, products=False):
     grad = weighted(u) @ d.X
     C, k = grad.shape
     if products:
-        pairs = (d.X[:, :, None] * d.X[:, None, :]).reshape(-1, k * k)
-        beta_info = (weighted(i_ee) @ pairs).reshape(C, k, k)
+        beta_info = (weighted(i_ee) @ _column_products(d.X)).reshape(C, k, k)
     else:
         beta_info = d.X.T @ (d.X * weighted(i_ee)[:, :, None])
     if v is None:
@@ -339,11 +396,36 @@ def check_design_rank(d: Dataset, w=None) -> None:
     Rows with weight below ``WEIGHT_FLOOR`` are excluded. The error names
     the columns that a pivoted QR identifies as linearly dependent.  The
     intercept is always the first pivot: the other columns are taken
-    orthogonal to it and factored by LAPACK ``dgeqp3``, which is what
-    ``dgeqp3`` does with a fixed leading column.  So a constant covariate
-    is the column named, never the intercept.
+    orthogonal to it and factored by a column-pivoted Householder QR.  So
+    a constant covariate is the column named, never the intercept.
     """
     _check_rank(d, _weights(d, w))
+
+
+def _pivoted_qr_diagonal(A: np.ndarray):
+    """|r_jj| and the column order of a column-pivoted Householder QR of A.
+
+    A is (m, k) with m >= k.  Each step takes the remaining column of
+    largest norm, the first of equal ones, as LAPACK ``dgeqp3`` does; the
+    norms are recomputed at each step rather than downdated.
+    """
+    A = np.array(A, dtype=float)  # a copy: the reflections work in place
+    k = A.shape[1]
+    order = np.arange(k)
+    diag = np.zeros(k)
+    for j in range(k):
+        norms = np.linalg.norm(A[j:, j:], axis=0)
+        p = j + int(np.argmax(norms))
+        A[:, [j, p]] = A[:, [p, j]]
+        order[[j, p]] = order[[p, j]]
+        diag[j] = norms[p - j]
+        if diag[j] == 0.0:
+            break  # the columns left are zero
+        v = A[j:, j].copy()
+        v[0] += math.copysign(diag[j], v[0])
+        v /= np.linalg.norm(v)
+        A[j:, j + 1:] -= np.outer(2.0 * v, v @ A[j:, j + 1:])
+    return diag, order
 
 
 def _check_rank(d: Dataset, w: np.ndarray, cols=None) -> None:
@@ -369,20 +451,16 @@ def _check_rank(d: Dataset, w: np.ndarray, cols=None) -> None:
     gram = AT @ AT.T
     s00 = float(gram[0, 0])
     r00 = np.sqrt(s00)
-    # the covariate columns orthogonal to sqrt(w), column-major as LAPACK takes them
-    rest = (AT[1:] - (gram[0, 1:] / s00)[:, None] * a0).T
-    # the workspace query scipy.linalg.qr makes, then the factorization
-    lwork = int(_GEQP3(rest, lwork=-1)[3][0])
-    qr, jpvt = _GEQP3(rest, lwork=lwork, overwrite_a=1)[:2]
-    diag = np.abs(qr.diagonal())
+    # the covariate columns orthogonal to sqrt(w)
+    diag, order = _pivoted_qr_diagonal((AT[1:] - (gram[0, 1:] / s00)[:, None] * a0).T)
     # scaled by the largest column norm of sqrt(w) X before centring (the
     # first pivot of a plain pivoted QR), so that the rounding left in a
     # centred constant column stays below it at any scale of the constant
     tol = np.sqrt(gram.diagonal().max()) * max(n_active, k) * np.finfo(float).eps
     if r00 > tol and diag.min() > tol:
         return
-    # jpvt is 1-based among the columns after the intercept, so it indexes X
-    dep = ([0] if r00 <= tol else []) + sorted(int(j) for j in jpvt[diag <= tol])
+    # order counts the columns after the intercept, so order + 1 indexes X
+    dep = ([0] if r00 <= tol else []) + sorted(int(j) + 1 for j in order[diag <= tol])
     if cols is not None:
         dep = [int(cols[j]) for j in dep]
     labels = tuple("intercept" if j == 0 else d.names[j - 1] for j in dep)
@@ -390,6 +468,78 @@ def _check_rank(d: Dataset, w: np.ndarray, cols=None) -> None:
         f"design is rank deficient; dependent column(s): {', '.join(labels)}",
         columns=labels,
     )
+
+
+def _rank_screen(d: Dataset, W: np.ndarray, keep=None) -> np.ndarray:
+    """(C,) flags of the rows of the weight block W that pass :func:`_check_rank`.
+
+    ``keep`` is an optional (C, k) block of the columns of ``d.X`` that
+    each row's design keeps.  A flagged row is proven full rank; an
+    unflagged one may be either, and only the exact check can tell.  With
+    G the weighted Gram matrix of a row's active rows and kept columns,
+    and S its Schur complement on the intercept (the Gram matrix of the
+    covariate columns taken orthogonal to sqrt(w)), every |r_jj| of any
+    QR of those columns is at least sigma_min = sqrt(lambda_min(S))
+    (Businger & Golub 1965).  So a row passes when both G_00 and
+    lambda_min(S) exceed tol^2 + margin, with ``_check_rank``'s tol.  All
+    rows take one (C, n) @ (n, k^2) product and one stacked ``eigvalsh``.
+
+    The margin bounds the rounding on both sides, with n = n_active, for
+    (n k)^2 eps << 1.  Each entry of G errs by at most (n + 2) eps
+    |a_i| |a_j|, for the weighted columns a_i, and so S, formed from it,
+    by at most 4 (n + 3) eps |a_i| |a_j|, which is 4 (n + 3) eps tr(G)
+    in norm.  ``eigvalsh`` is backward stable: it moves lambda_min by at
+    most about 8k eps ||S|| <= 8k eps tr(G).  The exact check's QR is
+    the exact QR of columns within O(n k eps) sqrt(tr(G)) of the centred
+    ones; against the squared bound that costs O((n k eps)^2) tr(G),
+    below eps tr(G).  The sum is under (4n + 8k + 13) eps tr(G), and the
+    margin 8 (n + 2k) eps tr(G) exceeds it for k >= 2.
+    """
+    X = d.X
+    C, k_all = W.shape[0], X.shape[1]
+    active = W >= WEIGHT_FLOOR
+    n_active = np.count_nonzero(active, axis=1)
+    k = np.full(C, k_all) if keep is None else keep.sum(axis=1)
+    passed = (n_active >= k) & (k == 1)  # sqrt(w) alone has rank 1
+    todo = np.flatnonzero((n_active >= k) & (k > 1))
+    if not todo.size:
+        return passed
+    with np.errstate(**_QUIET):
+        gram = (np.where(active[todo], W[todo], 0.0) @ _column_products(X)).reshape(-1, k_all, k_all)
+        if keep is not None:
+            kt = keep[todo]
+            gram = np.where(kt[:, :, None] & kt[:, None, :], gram, 0.0)
+        diag = np.diagonal(gram, axis1=1, axis2=2)
+        trace = diag.sum(axis=1)
+        g = gram[:, 0, 1:]
+        schur = gram[:, 1:, 1:] - g[:, :, None] * (g / gram[:, :1, 0])[:, None, :]
+        if keep is not None:  # a dropped column adds an eigenvalue tr(G), above the bound
+            on = np.arange(k_all - 1)
+            schur[:, on, on] = np.where(kt[:, 1:], schur[:, on, on], trace[:, None])
+        nt, kk = n_active[todo], k[todo]
+        eps = np.finfo(float).eps
+        bound = diag.max(axis=1) * (np.maximum(nt, kk) * eps) ** 2 + 8.0 * (nt + 2 * kk) * eps * trace
+        lam = np.full(todo.size, -np.inf)
+        finite = np.isfinite(schur).all(axis=(1, 2))
+        if finite.any():
+            lam[finite] = np.linalg.eigvalsh(schur[finite])[:, 0]
+        passed[todo] = (gram[:, 0, 0] > bound) & (lam > bound)
+    return passed
+
+
+def _rank_errors(d: Dataset, W: np.ndarray, keep=None) -> list:
+    """Per row of the (C, n) weight block W, the error :func:`_check_rank` raises, or None.
+
+    ``keep`` is :func:`_rank_screen`'s optional column mask.  Only the
+    rows the screen does not pass are factored, one by one.
+    """
+    errors = [None] * len(W)
+    for c in np.flatnonzero(~_rank_screen(d, W, keep)):
+        try:
+            _check_rank(d, W[c], None if keep is None else np.flatnonzero(keep[c]))
+        except SingularDesignError as exc:
+            errors[c] = exc
+    return errors
 
 
 def _alpha_side(alpha):
@@ -608,7 +758,9 @@ def _fit_one(family, d, w, init) -> GlmFit:
     nb2 = family == NB2
     if nb2 and d.n < d.p + 2:
         raise DimensionError(f"NB-2 needs n >= p + 2 ({d.n} < {d.p + 2})")
-    _check_rank(d, w)
+    error = _rank_errors(d, w[None])[0]
+    if error is not None:
+        raise error
     if init is not None:  # to the driver's layout: beta, then log alpha for NB-2
         if nb2:
             beta0, alpha0 = init

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -90,9 +91,9 @@ class Dataset:
         """Cached log(y!) terms; constant across likelihood evaluations."""
         cached = self.__dict__.get("_log_y_factorial")
         if cached is None:
-            from scipy.special import gammaln
-
-            cached = _frozen(gammaln(self.y.astype(float) + 1.0))
+            counts, at = np.unique(self.y, return_inverse=True)
+            terms = np.array([math.lgamma(c + 1.0) for c in counts.tolist()])
+            cached = _frozen(terms[at.reshape(self.y.shape)])
             object.__setattr__(self, "_log_y_factorial", cached)
         return cached
 

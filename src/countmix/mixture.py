@@ -206,25 +206,36 @@ def e_step(components, d: Dataset, family: str) -> np.ndarray:
     return resp
 
 
-def _restart_failure(W: np.ndarray, d: Dataset, cols=None):
-    """The error one restart's M-step raises on its (G, n) weight rows, or None.
+def _restart_failures(W: np.ndarray, d: Dataset, G: int, columns=None) -> list:
+    """Per restart, the error its M-step raises on its G weight rows of W, or None.
 
-    Components are checked in order: an effective sample sum_i r_ig below
-    p+2 is a :class:`ComponentCollapseError`, a rank-deficient weighted
-    design a :class:`SingularDesignError`.  ``cols`` optionally picks the
-    columns of ``d.X`` that make the restart's design.
+    ``W`` stacks the (G, n) weight rows of R restarts.  Each restart's
+    components are checked in order: an effective sample sum_i r_ig below
+    p+2, for the p covariates its design keeps, is a
+    :class:`ComponentCollapseError`, a rank-deficient weighted design a
+    :class:`SingularDesignError`.  ``columns`` is the optional (R, k)
+    column mask over ``d.X`` of :func:`_run_em`.  The rank of all rows is
+    screened at once by ``countglm._rank_errors``.
     """
-    for g, w in enumerate(W):
-        mass = w.sum()
-        if mass < d.p + 2:
-            return ComponentCollapseError(
-                f"component {g}: effective sample {mass:.3f} < p+2={d.p + 2}"
-            )
-        try:
-            countglm._check_rank(d, w, cols)
-        except SingularDesignError as exc:
-            return exc
-    return None
+    keep = None if columns is None else np.repeat(columns, G, axis=0)
+    ranks = countglm._rank_errors(d, W, keep)
+    mass = W.sum(axis=1)
+    p = np.full(len(W), d.p) if keep is None else keep.sum(axis=1) - 1
+    failures = []
+    for r in range(len(W) // G):
+        failure = None
+        for g in range(G):
+            c = r * G + g
+            if mass[c] < p[c] + 2:
+                failure = ComponentCollapseError(
+                    f"component {g}: effective sample {mass[c]:.3f} < p+2={p[c] + 2}"
+                )
+            else:
+                failure = ranks[c]
+            if failure is not None:
+                break
+        failures.append(failure)
+    return failures
 
 
 def _m_step(resp: np.ndarray, d: Dataset, family: str, prev, columns=None):
@@ -242,10 +253,7 @@ def _m_step(resp: np.ndarray, d: Dataset, family: str, prev, columns=None):
     pis = resp.sum(axis=1) / n  # the mean over rows
     pis = pis / pis.sum(axis=1, keepdims=True)
     W = np.clip(resp.transpose(0, 2, 1).reshape(R * G, n), 0.0, 1.0)
-    failures = [
-        _restart_failure(W[r * G:(r + 1) * G], d, None if columns is None else np.flatnonzero(columns[r]))
-        for r in range(R)
-    ]
+    failures = _restart_failures(W, d, G, columns)
     cols = np.repeat([f is None for f in failures], G)
     x = np.full((R * G, d.p + 1 + (family == NB2)), np.nan)
     if cols.any():

@@ -1,6 +1,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -623,3 +625,12 @@ class TestExactCopies:
         records = json.loads((out / "report.json").read_text())["ga_records"]
         assert records
         assert not any(r["bits"][0] and r["bits"][2] for r in records)
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test oracle only: the package runs on numpy alone
+    code = "import sys, countmix.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

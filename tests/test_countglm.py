@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -98,6 +101,44 @@ class TestNb2Loglik:
             beta = np.array([1.4, 0.3])
             diff = nb2_loglik(beta, 1e-10, d) - poisson_loglik(beta, d)
             assert abs(diff) < 1e-4
+
+
+class TestPolygammaRatio:
+    """F(y + theta) - F(theta) at integer counts, F = log Gamma, digamma, trigamma."""
+
+    THETAS = (1e-4, 0.05, 1.0, 15.9, 16.0, 1e3, 1e5, 1e7)
+    # the term of the rising sum F(y + theta) - F(theta) = sum_{j<y} term(theta + j)
+    TERMS = {-1: math.log, 0: lambda z: 1.0 / z, 1: lambda z: -1.0 / (z * z)}
+
+    @staticmethod
+    def _counts():
+        t = countglm.Y_TABLE
+        return np.array([0, 1, t - 1, t + 1, 150, 883, 3000, 20000])
+
+    @pytest.mark.parametrize("order", [-1, 0, 1])
+    def test_block_matches_exactly_summed_rising_sums(self, order):
+        y = self._counts()
+        got = countglm._polygamma_ratio(y, np.array(self.THETAS)[:, None], order)
+        assert got.shape == (len(self.THETAS), y.size)
+        for c, theta in enumerate(self.THETAS):
+            for i, count in enumerate(y.tolist()):
+                want = math.fsum(self.TERMS[order](theta + j) for j in range(count))
+                if count == 0:
+                    assert got[c, i] == 0.0
+                else:
+                    assert abs(got[c, i] - want) <= 1e-13 * abs(want), (theta, count)
+
+    @pytest.mark.parametrize("order", [-1, 0, 1])
+    def test_scalar_theta_matches_scipy_at_moderate_theta(self, order):
+        from scipy.special import digamma, gammaln, polygamma
+
+        f = {-1: gammaln, 0: digamma, 1: lambda z: polygamma(1, z)}[order]
+        y = self._counts()
+        for theta in (t for t in self.THETAS if t <= 100.0):
+            got = countglm._polygamma_ratio(y, theta, order)
+            assert got.shape == y.shape
+            np.testing.assert_allclose(got, f(y + theta) - f(theta), rtol=1e-13, atol=0.0)
+            assert got[0] == 0.0
 
 
 class TestGradients:
@@ -254,6 +295,49 @@ class TestFitPoisson:
                 with pytest.raises(SingularDesignError) as err:
                     countglm.check_design_rank(d, weights)
                 assert len(err.value.columns) == p + 1 - rank, name
+
+    @staticmethod
+    def _near_threshold_designs():
+        # z0 and z0 + 10^-e z1: full rank for small e, numerically dependent
+        # for large e, and near the check's tolerance in between
+        rng = np.random.default_rng(8)
+        z = rng.normal(size=(60, 3))
+        for e in range(6, 18):
+            near = z[:, 0] + 10.0**-e * z[:, 1]
+            yield f"near_{e}", np.column_stack([z[:, 0], near, z[:, 2]])
+            yield f"scaled_{e}", np.column_stack([1e3 * z[:, 0], 1e3 * near, 1e-2 * z[:, 2]])
+            yield f"offset_{e}", np.column_stack([1e4 + z[:, 0], 1e4 + near, z[:, 2]])
+
+    def test_rank_screen_is_sound_and_block_matches_one_row_check(self):
+        from countmix import CovariateMask, apply_mask
+
+        rng = np.random.default_rng(9)
+        keep = np.array([(True,) + bits for bits in itertools.product([False, True], repeat=3)])
+        outcomes = set()
+        for name, Z in self._near_threshold_designs():
+            n = Z.shape[0]
+            X = np.column_stack([np.ones(n), Z])
+            d = Dataset(y=rng.poisson(2.0, n), X=X, names=("z0", "z1", "z2"))
+            weights = [np.ones(n), rng.uniform(0.0, 1.0, n), np.zeros(n)]
+            weights[1][:5] = 0.0  # rows below the weight floor are excluded
+            weights[2][:3] = 0.5  # too few rows for most masks
+            W = np.repeat(weights, len(keep), axis=0)
+            K = np.tile(keep, (len(weights), 1))
+            passed = countglm._rank_screen(d, W, K)
+            errors = countglm._rank_errors(d, W, K)
+            for w, k, ok, error in zip(W, K, passed, errors):
+                masked = apply_mask(d, CovariateMask(k[1:]))
+                try:
+                    countglm.check_design_rank(masked, w)
+                except SingularDesignError as exc:
+                    assert not ok, name
+                    assert error is not None and str(error) == str(exc), name
+                    assert error.columns == exc.columns, name
+                    outcomes.add("singular")
+                else:
+                    assert error is None, name
+                    outcomes.add("passed" if ok else "full rank, not screened")
+        assert outcomes == {"singular", "passed", "full rank, not screened"}
 
     def test_all_zero_outcome_handled_without_exception(self, intercept_only):
         # the MLE sits at beta0 -> -inf; the fit settles at the floor of the

@@ -13,11 +13,13 @@ from countmix import (
     Dataset,
     GaConfig,
     MixtureModel,
+    apply_mask,
     component_summaries,
     em_fit,
     evolve,
     fitness,
     report_components,
+    score_model,
     summary_stats,
     sweep,
 )
@@ -133,6 +135,17 @@ class TestFitness:
         assert fitness(mask, d, 2, POISSON, "caic", cache, seed=0, restarts=1) == np.inf
         assert cache[mask.key] is None
 
+
+    def test_collapse_rule_counts_the_mask_columns(self):
+        # n = 9 rows are too few for the full p = 8 (p+2 = 10), not for the
+        # one covariate the mask keeps: the mask scores as its masked design
+        d = _regression_dataset(p=8, n=9, seed=9)
+        mask = CovariateMask.from_numbers(d.p, (1,))
+        sub = apply_mask(d, mask)
+        want = score_model(em_fit(sub, 1, POISSON, seed=0, restarts=1), sub).caic
+        got = fitness(mask, d, 1, POISSON, "caic", {}, seed=0, restarts=1)
+        assert np.isfinite(got)
+        assert got == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("G", [None, "auto", 0])
     def test_unknown_component_count_rejected(self, G):

@@ -580,16 +580,17 @@ class TestMaskedG1Block:
     @pytest.mark.parametrize(
         "family, seed, trace, beta, alpha",
         [
-            (POISSON, 31, "-0x1.c035258cdfcc1p+7",
+            (POISSON, 31, "-0x1.c035258cdfcc2p+7",
              ("0x1.053b8b66c6fcep+0", "0x1.9bde460c970d5p-2",
               "-0x1.73a1a1870f664p-4", "-0x1.6d7683626066ap-2"), "0x0.0p+0"),
-            (NB2, 32, "-0x1.ea175dfc33ad5p+7",
+            (NB2, 32, "-0x1.ea175dfc33ad6p+7",
              ("0x1.aac13aaea9598p-1", "0x1.a38bf20b975bap-2",
-              "-0x1.026024ae0b70ep-3", "-0x1.bdf187c55e45cp-2"), "0x1.690e6325a7b75p-1"),
+              "-0x1.026024ae0b70ep-3", "-0x1.bdf187c55e45dp-2"), "0x1.690e6325a7b70p-1"),
         ],
     )
     def test_em_fit_g1_bitwise_equals_stored_result(self, family, seed, trace, beta, alpha):
-        # stored from em_fit before the column mask went into the Newton driver
+        # stored from em_fit with log y! from math.lgamma and the NB-2
+        # special-function differences as rising sums
         d = _masked_data(family, seed, n=120, p=3)
         m = em_fit(d, 1, family, seed=0, restarts=1)
         assert (m.converged, m.iterations, m.G) == (True, 2, 1)
