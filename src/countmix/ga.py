@@ -3,8 +3,8 @@
 Each chromosome is a covariate inclusion mask; fitness is an information
 criterion of the mixture refit on the masked design (lower is fitter).
 Fitness is pure up to rounding, so a mask-keyed cache is shared across
-runs and generations; at G=1 each generation's new masks are fitted
-together, as one block of masked GLM fits over the full design.
+runs and generations; at any G each generation's new masks are fitted
+together, as one masked EM block over the full design.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .data import (
     summary_stats,
 )
 from .errors import CountmixError, DomainError, NoScoreError
-from .mixture import MixtureModel, _component_stacks, _run_em, em_fit
+from .mixture import MixtureModel, _best_restart, _component_stacks, _run_em, _start_stack, em_fit
 from .selection import (
     DEFAULT_G_MAX,
     _criterion_value,
@@ -43,6 +43,7 @@ CONSTANT_VAR_TOL = 1e-12
 AUTO = "auto"
 PER_MASK = "per-mask"
 _ICOMP_SCORED = "icomp-scored"  # see fitness
+_STARTS = "starts"  # see fitness
 
 
 def _check_g(G, words: tuple[str, ...]) -> None:
@@ -57,12 +58,12 @@ class GaConfig:
 
     ``runs`` independent GA runs are aggregated into winner frequencies,
     so 200 runs gives 0.5% frequency granularity.  The runs go in
-    lock-step, generation by generation, and at G=1 each generation's new
-    masks are fitted in one block (see :func:`evolve`).  ``G`` is the
+    lock-step, generation by generation, and each generation's new masks
+    are fitted in one masked EM block (see :func:`evolve`).  ``G`` is the
     component count of every mask fit: a positive integer fixes it; ``"auto"`` fixes
     it at the count ``criterion`` picks in one sweep of the full model
     (G = 1..g_max) before the GA starts; ``"per-mask"`` re-selects it for
-    every mask by a sweep of that mask (much costlier).
+    every mask from its fits in one block per G = 1..g_max.
     """
 
     pop_size: int = 30
@@ -126,14 +127,13 @@ class SubsetRecord:
 
 def fit_mask(
     mask: CovariateMask, d: Dataset, G: int | str, family: str, seed=0, restarts: int = 5,
-    g_max: int = DEFAULT_G_MAX, with_icomp: bool = False,
+    g_max: int = DEFAULT_G_MAX,
 ) -> tuple[tuple[ScoreRow, ...], dict[int, MixtureModel]]:
-    """Score rows and fitted models, by G, of the mixture refit on the masked design.
+    """Score rows and fitted models, by G, of the mixture refit on the reported mask.
 
-    At a fixed G this is one :func:`em_fit`, scored with ICOMP only if
-    ``with_icomp``; a fit that collapses to fewer components is not a fit
-    at G and raises :class:`CountmixError`.  At ``"per-mask"`` G it is a
-    sweep of G = 1..g_max.
+    At a fixed G this is one :func:`em_fit`, scored without ICOMP, and a
+    fit that collapses to fewer components raises :class:`CountmixError`;
+    at ``"per-mask"`` G it is a sweep of G = 1..g_max.
     """
     sub = apply_mask(d, mask)
     if G == PER_MASK:
@@ -144,11 +144,11 @@ def fit_mask(
         raise CountmixError(
             f"mask {mask.render()!r} refit with {model.G} components, not the requested G={G}"
         )
-    return (score_model(model, sub, with_icomp=with_icomp),), {G: model}
+    return (score_model(model, sub, with_icomp=False),), {G: model}
 
 
 def mask_row(rows, G: int | str, criterion: str) -> ScoreRow | None:
-    """The row of :func:`fit_mask`'s ``rows`` that scores the mask.
+    """The row of a mask's score ``rows`` (see :func:`fitness`) that scores it.
 
     That is the one row at a fixed G, and at ``"per-mask"`` G the row
     whose G ``criterion`` selects.  None when the fit failed (``rows`` is
@@ -164,67 +164,63 @@ def mask_row(rows, G: int | str, criterion: str) -> ScoreRow | None:
     return next(r for r in rows if r.G == G)
 
 
-def _g1_rows(masks, d: Dataset, family: str, with_icomp: bool) -> list:
-    """:func:`fit_mask`'s rows at G=1 for a block of masks.
+def _block_rows(masks, d: Dataset, G: int, family: str, starts, with_icomp: bool) -> list:
+    """Per mask, the :class:`ScoreRow` of its G-component fit on its masked design, or None.
 
-    The masks are fitted together by one :func:`_run_em` over ``d.X``,
-    one mask per restart, each from the all-ones start that
-    :func:`em_fit` takes at G=1; every Newton block then holds all the
-    masks still running, so its memory grows as masks x n x (p+1).  A
-    mask's row is None when its fit fails, as a failed :func:`fit_mask`
-    is; one too large for n (p+2 > n) is not fitted.
+    Every restart of every mask runs in one :func:`_run_em` over ``d.X``
+    from ``starts`` (:func:`em_fit`'s), and each mask keeps its best restart
+    as :func:`em_fit` does, so a row is the masked fit's up to rounding.  A
+    mask with G(p+2) > n is not fitted; one whose restarts all fail is None.
     """
     keep = np.ones((len(masks), d.p + 1), dtype=bool)
     keep[:, 1:] = [m.bits for m in masks]
-    sized = np.flatnonzero(keep.sum(axis=1) < d.n)  # n >= p+2, as em_fit requires
-    ones = np.broadcast_to(1.0, (sized.size, d.n, 1))  # every mask's start, read only
-    models = _run_em(d, family, ones, keep[sized]) if sized.size else []
+    sized = np.flatnonzero(G * (keep.sum(axis=1) + 1) <= d.n)  # n >= G(p+2), as em_fit requires
+    R = len(starts)
+    resp0 = np.broadcast_to(starts, (sized.size, *starts.shape)).reshape(-1, d.n, G)  # read only
+    fits = _run_em(d, family, resp0, np.repeat(keep[sized], R, axis=0)) if sized.size else []
     out: list = [None] * len(masks)
-    for i, model in zip(sized, models):
-        if isinstance(model, CountmixError):
+    for j, i in enumerate(sized):
+        try:
+            model = _best_restart(fits[j * R:(j + 1) * R])[0]
+        except CountmixError:  # a restart overflowed, where em_fit raises
+            continue
+        if model is None:
             continue
         if with_icomp:  # the observed information of the model on its masked design
-            comp = model.components[0]
-            model = replace(model, components=(replace(comp, beta=comp.beta[keep[i]]),))
-            out[i] = (score_model(model, apply_mask(d, masks[i])),)
+            comps = tuple(replace(c, beta=c.beta[keep[i]]) for c in model.components)
+            out[i] = score_model(replace(model, components=comps), apply_mask(d, masks[i]))
         else:
-            out[i] = (_score_row(model, int(keep[i].sum()) - 1, d.n),)
+            out[i] = _score_row(model, int(keep[i].sum()) - 1, d.n)
     return out
 
 
 def _score_masks(masks, d, G, family, criterion, cache, seed, restarts, g_max) -> None:
-    """Put :func:`fit_mask`'s rows for each of ``masks`` into ``cache`` unless there.
+    """Put the score rows of each of ``masks`` into ``cache`` (see :func:`fitness`) unless there.
 
-    At G=1 the masks that need a fit go to one :func:`_g1_rows` block;
-    otherwise each gets its own :func:`fit_mask`.  See :func:`fitness`
-    for the cache's layout.
+    The masks that need a fit go to one :func:`_block_rows` block per G.
     """
     icomp = criterion == "icomp"
     scored = cache.setdefault(_ICOMP_SCORED, set())
+    starts = cache.setdefault(_STARTS, {})
     todo = [
         m for m in masks
-        if m.key not in cache
-        or (icomp and G != PER_MASK and cache[m.key] is not None and m.key not in scored)
+        if m.key not in cache or (icomp and cache[m.key] is not None and m.key not in scored)
     ]
-    if G == 1:
-        rows = _g1_rows(todo, d, family, icomp) if todo else []
-    else:
-        rows = []
-        for mask in todo:
-            try:
-                rows.append(fit_mask(
-                    mask, d, G, family, seed=seed, restarts=restarts, g_max=g_max, with_icomp=icomp
-                )[0])
-            except CountmixError:
-                rows.append(None)
-    for mask, r in zip(todo, rows):
-        cache[mask.key] = r
+    if not todo:
+        return
+    blocks = []
+    for g in range(1, g_max + 1) if G == PER_MASK else (G,):
+        if g not in starts:
+            starts[g] = _start_stack(d, g, seed, restarts)
+        blocks.append(_block_rows(todo, d, g, family, starts[g], icomp))
+    for mask, rows in zip(todo, zip(*blocks)):
+        cache[mask.key] = tuple(r for r in rows if r is not None) or None
         if icomp:
             scored.add(mask.key)
 
 
 def _value(rows, G, criterion: str) -> float:
-    """The fitness of :func:`fit_mask`'s ``rows``: +inf for a failed fit or no score."""
+    """The fitness of a mask's score ``rows``: +inf for a failed fit or no score."""
     row = mask_row(rows, G, criterion)
     value = None if row is None else _criterion_value(row, criterion)
     return np.inf if value is None else value
@@ -243,21 +239,20 @@ def fitness(
 ) -> float:
     """Criterion value of the mixture refit on the masked design (lower wins).
 
-    ``G`` is a positive integer or ``"per-mask"`` (see :class:`GaConfig`).
-    Failures score +inf, so a broken mask survives in the population but
-    can never win.  ``cache`` memoizes :func:`fit_mask`'s rows (None for a
-    failed fit) by mask bits alone, so one cache belongs to one (d, G,
-    family, seed, restarts, g_max); criteria may share it.  At G=1 the
-    rows come from a masked GLM block (:func:`_g1_rows`), here a block of
-    one, so a score is pure up to rounding: the same mask fitted in
-    another block may differ in the last bits (or, where the likelihood is
-    flat, such as an NB-2 dispersion near its lower bound, within the
-    fit's stopping rule).  A fixed-G row carries ICOMP only when ICOMP is
-    the criterion, since its observed information costs about as much as
-    the fit; a cached row scored without ICOMP is scored again, once, when
-    an ICOMP lookup reaches it.  The keys of rows scored with ICOMP
-    requested, whether or not ICOMP was available, are kept in the cache
-    under ``"icomp-scored"``.
+    ``G`` is a positive integer or ``"per-mask"``.  Failures score +inf,
+    so a broken mask survives in the population but can never win.
+    ``cache`` memoizes a mask's score rows by mask bits alone (its row at
+    a fixed G, its rows of the G that did not fail at ``"per-mask"`` G,
+    None for a failed fit), so it belongs to one (d, G, family, seed,
+    restarts, g_max); criteria may share it.  The rows come from a
+    :func:`_block_rows` block, here of one mask, so a score is pure up to
+    rounding: another block may differ in the last bits, or within the
+    fit's stopping rule where the likelihood is flat (an NB-2 dispersion
+    near its lower bound).  A row carries ICOMP only when ICOMP is the
+    criterion, since its observed information costs about as much as the
+    fit; a row scored without it is scored again, once, when an ICOMP
+    lookup reaches it.  The cache also keeps each G's start stack under
+    ``"starts"``, and the keys of rows scored for ICOMP under ``"icomp-scored"``.
     """
     criterion = normalize_criterion(criterion)
     _check_g(G, (PER_MASK,))
@@ -280,11 +275,11 @@ def evolve(d: Dataset, cfg: GaConfig, family: str) -> list[SubsetRecord]:
     the mutation flips.  The runs go in lock-step: their populations are
     one (runs, pop_size, p) array, each generation's selection, crossover,
     mutation and elitism are stacked array operations, and the
-    generation's masks that no earlier generation scored are scored
-    together, at G=1 in one masked GLM block.  So every distinct mask is
-    fitted once over all runs, and each run takes the course it would
-    take alone.  Records are sorted by relative frequency (descending)
-    then criterion value.
+    generation's masks that no earlier generation scored are scored in one
+    masked EM block per G, whose memory grows as masks x restarts x G x n.
+    So every distinct mask is fitted once over all runs, and each run
+    takes the course it would take alone.  Records are sorted by relative
+    frequency (descending) then criterion value.
     """
     if d.p < 1:
         raise DomainError("GA subset selection needs at least one covariate")

@@ -6,8 +6,8 @@ log-sum-exp; the complete-data form appears only implicitly inside EM.
 :func:`em_fit` runs its restarts in lock-step: every EM iteration fits
 all (restart, component) refits in one block of the shared Newton driver
 in ``countglm`` and takes one posterior pass over every running restart.
-The same loop fits a block of covariate masks at G=1, one mask per
-restart, over the shared design.
+The same loop fits the restarts of a block of covariate masks at any G
+over the shared design; its memory grows as masks x restarts x G x n.
 """
 
 from __future__ import annotations
@@ -297,8 +297,9 @@ def m_step(resp: np.ndarray, d: Dataset, family: str):
     return _components(pis[0], x, family)
 
 
-def _quantile_split(y: np.ndarray, G: int) -> np.ndarray:
-    """Deterministic hard split: sort by count, cut into G consecutive bins."""
+def _quantile_split(y: np.ndarray, G: int, reason: str) -> np.ndarray:
+    """Deterministic hard split, sort by count and cut into G bins, after warning ``reason``."""
+    warnings.warn(f"{reason}; using quantile-bin split", RuntimeWarning, stacklevel=3)
     order = np.argsort(y, kind="stable")
     resp = np.zeros((y.size, G))
     for g, chunk in enumerate(np.array_split(order, G)):
@@ -318,16 +319,16 @@ def init_by_count_mixture(d: Dataset, G: int, seed=0) -> np.ndarray:
         raise DomainError(f"G must be >= 1, got {G}")
     if G * (d.p + 2) > d.n:
         raise DimensionError(f"G={G} needs at least {G * (d.p + 2)} rows, have {d.n}")
+    return _count_mixture_start(d, G, seed)
+
+
+def _count_mixture_start(d: Dataset, G: int, seed) -> np.ndarray:
+    """:func:`init_by_count_mixture` without its checks; it reads only y."""
     if G == 1:
         return np.ones((d.n, 1))
     y = d.y.astype(float)
     if np.unique(d.y).size < G:
-        warnings.warn(
-            f"fewer than {G} distinct count values; using quantile-bin split",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return _quantile_split(d.y, G)
+        return _quantile_split(d.y, G, f"fewer than {G} distinct count values")
 
     rng = np.random.default_rng(_as_seedseq(seed))
     lam = np.quantile(y, (np.arange(G) + 0.5) / G)
@@ -349,16 +350,26 @@ def init_by_count_mixture(d: Dataset, G: int, seed=0) -> np.ndarray:
         lam[ok] = np.maximum((resp[:, ok] * y[:, None]).sum(axis=0) / mass[ok], 1e-6)
     labels = np.argmax(resp, axis=1)
     if np.unique(labels).size < G:
-        warnings.warn(
-            "count-mixture initialization left an empty group; "
-            "using quantile-bin split",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return _quantile_split(d.y, G)
+        return _quantile_split(d.y, G, "count-mixture initialization left an empty group")
     hard = np.zeros((d.n, G))
     hard[np.arange(d.n), labels] = 1.0
     return hard
+
+
+def _start_stack(d: Dataset, G: int, seed, restarts: int) -> np.ndarray:
+    """The (R, n, G) starting responsibilities of :func:`em_fit`'s restarts.
+
+    The first is :func:`init_by_count_mixture`'s, unchecked; each other
+    redraws every row from Dirichlet(1 + one-hot initial group), except at
+    G=1 (R=1).  It reads y alone, so every covariate mask shares it.
+    """
+    init_ss, *restart_ss = _as_seedseq(seed).spawn(restarts + 1)
+    base = _count_mixture_start(d, G, init_ss)
+    starts = [base]
+    for ss in restart_ss[: restarts - 1 if G > 1 else 0]:
+        draws = np.random.default_rng(ss).gamma(shape=1.0 + base)  # row-wise Dirichlet(1 + one-hot)
+        starts.append(draws / draws.sum(axis=1, keepdims=True))
+    return np.stack(starts)
 
 
 def _run_em(d, family, resp0, columns=None):
@@ -372,17 +383,15 @@ def _run_em(d, family, resp0, columns=None):
     a component collapses (a weight below 1/(2n) or an effective sample
     below p+2), when its weighted design is singular or when its density
     overflows; its course is the one it would take alone.  Returns, per
-    restart, its :class:`MixtureModel` or the error that ended it.  The
-    warnings about rows of zero density are held per restart and issued
-    in the order serial runs give: restart by restart, and none after the
-    first restart that overflows, where :func:`em_fit` raises.
+    restart, its :class:`MixtureModel` or the error that ended it.
 
     ``columns`` is an optional (R, k) boolean block of the columns of
     ``d.X`` (the intercept among them) that restart r's design keeps:
     its dropped coefficients stay exactly 0 (see ``countglm._derivs``),
     so each restart is the fit of its masked design, up to rounding.
-    With G=1 this fits R covariate masks at once; they are separate
-    fits, so an overflow in one does not hold back the others' warnings.
+    The warnings about rows of zero density are held per restart and
+    issued restart by restart; without ``columns``, none after the first
+    restart that overflows, where :func:`em_fit` raises.
     """
     R, n, G = resp0.shape
     k = d.p + 1
@@ -462,22 +471,16 @@ def em_fit(
 ) -> MixtureModel:
     """Fit a G-component mixture by EM with multiple restarts.
 
-    The first restart starts from :func:`init_by_count_mixture`; the rest
-    perturb that hard assignment by redrawing each row's responsibilities
-    from Dirichlet(1 + one-hot initial group).  All restarts run in
-    lock-step through :func:`_run_em`: one Newton block fits every
-    (restart, component) refit of an iteration, and each restart follows
-    the course it would follow alone.  Restarts that collapse
-    (a weight below 1/(2n), an effective sample below p+2, or a singular
-    weighted design) are discarded.  The best surviving restart by final
-    log-likelihood wins, ties broken toward the lowest restart index.  If
-    every restart collapses the fit is retried at G-1 and the result is
-    tagged with a collapse diagnostic; if that retry fails too, the
-    :class:`ComponentCollapseError` names G and the first restart
-    discarded at G.  EM stops when the relative log-likelihood change is
-    at most ``DEFAULT_EM_TOL`` (1e-8), or after ``DEFAULT_EM_MAX_ITER``
-    (500) iterations with ``converged=False``.  At G=1 the redraw of the
-    single all-ones column reproduces the first start, so one run is made.
+    The restarts start from :func:`_start_stack` (the count-mixture
+    assignment and its Dirichlet redraws; one run at G=1), run in
+    lock-step through :func:`_run_em`, and :func:`_best_restart` keeps the
+    best that did not collapse (a weight below 1/(2n), an effective sample
+    below p+2, or a singular weighted design).  If every restart collapses
+    the fit is retried at G-1 and tagged with a collapse diagnostic; if
+    that retry fails too, the :class:`ComponentCollapseError` names G and
+    the first restart discarded at G.  EM stops at a relative logL change
+    of at most ``DEFAULT_EM_TOL`` (1e-8), or after ``DEFAULT_EM_MAX_ITER``
+    (500) iterations with ``converged=False``.
     """
     validate_family(family)
     if G < 1:
@@ -488,24 +491,7 @@ def em_fit(
         raise DimensionError(
             f"n={d.n} is too small for G={G} components with p={d.p}"
         )
-    root = _as_seedseq(seed)
-    init_ss, *restart_ss = root.spawn(restarts + 1)
-    base = init_by_count_mixture(d, G, seed=init_ss)
-    starts = [base]
-    for ss in restart_ss[: restarts - 1 if G > 1 else 0]:
-        draws = np.random.default_rng(ss).gamma(shape=1.0 + base)  # row-wise Dirichlet(1 + one-hot)
-        starts.append(draws / draws.sum(axis=1, keepdims=True))
-
-    best = None
-    notes: list[str] = []
-    for k, out in enumerate(_run_em(d, family, np.stack(starts))):
-        if isinstance(out, (ComponentCollapseError, SingularDesignError)):
-            notes.append(f"restart {k} discarded: {out}")
-            continue
-        if isinstance(out, Exception):
-            raise out
-        if best is None or out.logL > best.logL:
-            best = out
+    best, notes = _best_restart(_run_em(d, family, _start_stack(d, G, seed, restarts)))
     if best is None:
         if G == 1:
             raise ComponentCollapseError(
@@ -519,6 +505,25 @@ def em_fit(
             ) from exc
         note = f"all restarts collapsed at G={G}; refitted with G={reduced.G}"
         return replace(reduced, warnings=reduced.warnings + (note,))
-    if notes:
-        best = replace(best, warnings=best.warnings + tuple(notes))
     return best
+
+
+def _best_restart(outcomes):
+    """The best of one fit's :func:`_run_em` outcomes (None if none), and the discard notes.
+
+    A collapsed or singular restart is discarded with a note for the
+    winner's warnings, and any other error raised; logL ties go to the first.
+    """
+    best = None
+    notes: list[str] = []
+    for k, out in enumerate(outcomes):
+        if isinstance(out, (ComponentCollapseError, SingularDesignError)):
+            notes.append(f"restart {k} discarded: {out}")
+            continue
+        if isinstance(out, Exception):
+            raise out
+        if best is None or out.logL > best.logL:
+            best = out
+    if best is not None and notes:
+        best = replace(best, warnings=best.warnings + tuple(notes))
+    return best, notes

@@ -599,16 +599,16 @@ class TestExactCopies:
             ",".join([str(int(y[i]))] + [repr(float(v)) for v in X[i]]) for i in range(n)
         ]
         path.write_text("\n".join(lines) + "\n")
-        real_rows = ga_mod._g1_rows
+        real_rows = ga_mod._block_rows
         scored = {}
 
         def recording(masks, *args, **kwargs):
             rows = real_rows(masks, *args, **kwargs)
             for mask, r in zip(masks, rows):
-                scored[tuple(mask.bits.tolist())] = ga_mod._value(r, 1, "caic")
+                scored[tuple(mask.bits.tolist())] = ga_mod._value(None if r is None else (r,), 1, "caic")
             return rows
 
-        monkeypatch.setattr(ga_mod, "_g1_rows", recording)
+        monkeypatch.setattr(ga_mod, "_block_rows", recording)
         out = tmp_path / "ga"
         code = run(
             [

@@ -24,7 +24,8 @@ from countmix import (
     sweep,
 )
 from countmix import ga as ga_mod
-from countmix.errors import DomainError
+from countmix import mixture as mixture_mod
+from countmix.errors import ComponentCollapseError, CountmixError, DomainError
 
 
 def _regression_dataset(p=2, important=(0,), n=160, seed=9, alpha=0.0):
@@ -123,16 +124,20 @@ class TestFitness:
 
 
     def test_collapsed_fit_scores_infinity(self, monkeypatch):
+        # every restart collapses at G=2: the mask fails, with no G=1 refit
         d = _regression_dataset(seed=12)
-        real = ga_mod.em_fit
+        real = mixture_mod._m_step
 
-        def collapsing(data, G, family, **kwargs):
-            return real(data, G - 1, family, **kwargs)
+        def failing_for_two(resp, data, family, prev, columns=None):
+            pis, x, failures = real(resp, data, family, prev, columns)
+            if resp.shape[2] == 2:
+                failures = [ComponentCollapseError("forced for test")] * resp.shape[0]
+            return pis, x, failures
 
-        monkeypatch.setattr(ga_mod, "em_fit", collapsing)
+        monkeypatch.setattr(mixture_mod, "_m_step", failing_for_two)
         mask = CovariateMask.all_ones(d.p)
         cache = {}
-        assert fitness(mask, d, 2, POISSON, "caic", cache, seed=0, restarts=1) == np.inf
+        assert fitness(mask, d, 2, POISSON, "caic", cache, seed=0, restarts=2) == np.inf
         assert cache[mask.key] is None
 
 
@@ -192,7 +197,7 @@ class TestFitness:
         x1 = rng.normal(size=n)
         X = np.column_stack([np.ones(n), x1, x1 + 1e-7 * rng.normal(size=n)])
         d = Dataset(y=rng.poisson(np.exp(1.0 + 0.3 * x1)), X=X, names=("x1", "x2"))
-        calls = _counting(monkeypatch, ga_mod, "_run_em")  # the G=1 fit of a block of masks
+        calls = _counting(monkeypatch, ga_mod, "_run_em")  # the fit of a block of masks
         mask, cache = CovariateMask.all_ones(d.p), {}
         for criterion in criteria:
             fitness(mask, d, 1, POISSON, criterion, cache, seed=0, restarts=1)
@@ -276,9 +281,9 @@ class TestEvolve:
         ]
 
     def test_fitness_called_once_per_distinct_mask(self, monkeypatch):
-        # at G=1 each generation's new masks are fitted as one block
+        # each generation's new masks are fitted as one block
         d = _regression_dataset(p=4, important=(0,), seed=17)
-        calls = _counting(monkeypatch, ga_mod, "_g1_rows")
+        calls = _counting(monkeypatch, ga_mod, "_block_rows")
         cfg = GaConfig(
             pop_size=6, generations=4, runs=8, seed=13, G=1, restarts=1,
             criterion="caic", elitism=1,
@@ -302,13 +307,13 @@ class TestEvolve:
         evolve(d, cfg, family=POISSON)
         assert info_calls == []
 
-        real_rows, real_em = ga_mod._g1_rows, ga_mod._run_em
+        real_rows, real_em = ga_mod._block_rows, ga_mod._run_em
         values, models = {}, {}
 
         def recording(masks, *args, **kwargs):
             rows = real_rows(masks, *args, **kwargs)
             for mask, r in zip(masks, rows):
-                values[mask.key] = (mask, ga_mod._value(r, 1, "icomp"))
+                values[mask.key] = (mask, ga_mod._value(None if r is None else (r,), 1, "icomp"))
             return rows
 
         def fitting(data, family, resp0, columns):  # the models each mask's score comes from
@@ -316,7 +321,7 @@ class TestEvolve:
             models.update((cols[1:].tobytes(), m) for cols, m in zip(columns, out))
             return out
 
-        monkeypatch.setattr(ga_mod, "_g1_rows", recording)
+        monkeypatch.setattr(ga_mod, "_block_rows", recording)
         monkeypatch.setattr(ga_mod, "_run_em", fitting)
         evolve(d, dataclasses.replace(cfg, criterion="icomp"), family=POISSON)
         assert len(info_calls) == len(values) == len(models) > 0
@@ -331,7 +336,7 @@ class TestEvolve:
         # each child is a tournament winner with every bit flipped, so every
         # mask a run visits is an initial member or the complement of one
         d = _regression_dataset(p=6, important=(0,), seed=16)
-        calls = _counting(monkeypatch, ga_mod, "_g1_rows")
+        calls = _counting(monkeypatch, ga_mod, "_block_rows")
         cfg = GaConfig(
             pop_size=6, generations=3, runs=3, seed=11, G=1, restarts=1,
             criterion="caic", elitism=2, crossover_rate=0.0, mutation_rate=1.0,
@@ -411,8 +416,13 @@ class TestLockStepOracle:
             (POISSON, 6, dict(pop_size=6, elitism=1, crossover_rate=0.0, mutation_rate=1.0)),
             (NB2, 4, dict(pop_size=4, elitism=1, generations=1, criterion="icomp")),
             (POISSON, 3, dict(pop_size=4, elitism=1, G=2, generations=1, runs=4, criterion="sbc")),
+            (POISSON, 3, dict(pop_size=4, elitism=1, G=3, generations=1, runs=4, restarts=2)),
+            (POISSON, 3, dict(pop_size=4, elitism=1, G="per-mask", g_max=2, generations=1, runs=4)),
         ],
-        ids=["odd_children", "no_elitism", "full_mutation_no_crossover", "nb2_icomp", "fixed_g2"],
+        ids=[
+            "odd_children", "no_elitism", "full_mutation_no_crossover", "nb2_icomp", "fixed_g2",
+            "fixed_g3", "per_mask",
+        ],
     )
     def test_equals_serial_loop(self, family, p, kwargs):
         from serial_ga import evolve_serial
@@ -429,6 +439,73 @@ class TestLockStepOracle:
         for a, b in zip(lock_step, serial):
             for crit in ("aic", "caic", "sbc"):
                 assert getattr(a, crit) == pytest.approx(getattr(b, crit), rel=1e-12)
+
+
+def _two_group_dataset(p, n, seed, alpha=0.0):
+    """Counts from a two-component Poisson (NB-2 if ``alpha``) regression on x1."""
+    rng = np.random.default_rng(seed)
+    X = np.column_stack([np.ones(n), rng.normal(size=(n, p))])
+    mu = np.exp(np.where(rng.random(n) < 0.4, 4.0, 1.5) + 0.5 * X[:, 1])
+    if alpha > 0.0:
+        mu = rng.gamma(1.0 / alpha, alpha * mu)
+    return Dataset(y=rng.poisson(mu), X=X, names=tuple(f"x{j + 1}" for j in range(p)))
+
+
+class TestBlockOracle:
+    """A masked EM block scores every mask as em_fit and sweep do on its masked design."""
+
+    SEED, RESTARTS = 3, 3
+
+    @staticmethod
+    def _masks(p):
+        bits = itertools.product([False, True], repeat=p)
+        return [CovariateMask(np.array(b, dtype=bool)) for b in bits]
+
+    @pytest.mark.parametrize(
+        "family, G, p, n, alpha, seed",
+        [
+            (POISSON, 2, 3, 150, 0.0, 43),
+            # every fitted NB-2 dispersion is at least 0.16, clear of its lower bound
+            (NB2, 2, 3, 120, 0.2, 44),
+            (POISSON, 3, 3, 60, 0.0, 43),  # one mask fails
+            (POISSON, 2, 5, 13, 0.0, 45),  # n < G(p+2) = 14: the full mask cannot be fitted
+        ],
+        ids=["poisson_g2", "nb2_g2", "poisson_g3", "n_below_full_design"],
+    )
+    def test_rows_equal_em_fit_mask_by_mask(self, family, G, p, n, alpha, seed):
+        d = _two_group_dataset(p, n, seed, alpha)
+        masks = self._masks(p)
+        starts = mixture_mod._start_stack(d, G, self.SEED, self.RESTARTS)
+        status = []
+        for mask, row in zip(masks, ga_mod._block_rows(masks, d, G, family, starts, False)):
+            sub = apply_mask(d, mask)
+            try:
+                model = em_fit(sub, G, family, seed=self.SEED, restarts=self.RESTARTS)
+                want = score_model(model, sub, with_icomp=False) if model.G == G else None
+            except CountmixError:
+                want = None
+            assert (row is None) == (want is None), mask.render()
+            status.append(want is not None)
+            if want is not None:
+                assert row.n_k == want.n_k
+                for crit in ("aic", "sbc", "caic"):
+                    assert getattr(row, crit) == pytest.approx(getattr(want, crit), rel=1e-10)
+        assert any(status)
+        if n < G * (p + 2):
+            assert not status[-1]
+
+    def test_per_mask_g_equals_sweep_of_each_mask(self):
+        # the masks pick G = 3, 3, 2, 2, and some fail at G = 3 and 4
+        d = _two_group_dataset(2, 40, seed=44)
+        masks, cache = self._masks(d.p), {}
+        seed, restarts = self.SEED, self.RESTARTS
+        ga_mod._score_masks(masks, d, "per-mask", POISSON, "caic", cache, seed, restarts, 4)
+        for mask in masks:
+            res = sweep(apply_mask(d, mask), 4, seed=seed, restarts=restarts, family=POISSON)
+            assert [r.G for r in cache[mask.key]] == [r.G for r in res.rows if r.error is None]
+            row = ga_mod.mask_row(cache[mask.key], "per-mask", "caic")
+            assert row.G == res.best["caic"]
+            assert row.caic == pytest.approx(res.rows[row.G - 1].caic, rel=1e-10)
 
 
 def _handmade_model_and_data():
