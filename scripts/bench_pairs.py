@@ -10,10 +10,14 @@ seed N in A..B it runs ``python3 bench/run.py --workload W --seed N
 --seconds 30 --trace 0`` once in each copy, alternating seed by seed
 which side runs first.  For every end-to-end metric that BENCHMARK.json
 declares it prints each side's median and quartiles and the number of
-pairs the working tree wins (ties count for neither side).  The last
-line of standard output is one JSON object, {"summary": ..., "runs":
-[...]}, in the layout of the ``BENCH_*.json`` workload entries.  The
-copies are removed at exit.
+pairs the working tree wins (ties count for neither side).  A run that
+exits non-zero or prints no result is recorded as a row with
+``"correct": false``, null metrics and its error, and the comparison goes
+on; only the pairs with both runs count.  The last line of standard
+output is one JSON object, {"summary": ..., "runs": [...]}, in the
+layout of the ``BENCH_*.json`` workload entries.  The exit code is 1 if
+any run was incorrect, failed or had failed operations.  The copies are
+removed at exit.
 """
 
 from __future__ import annotations
@@ -68,20 +72,33 @@ def _copy_working_tree(dest):
             shutil.copy2(src, os.path.join(dest, rel))
 
 
-def _run(tree, workload, seed):
-    """One benchmark run in ``tree``; returns its last-line JSON result."""
+def _run(tree, workload, seed, side, metrics):
+    """The row of one benchmark run in ``tree``, from its last-line JSON result.
+
+    A run that exits non-zero or prints no result gives a row with
+    ``correct`` false, null metrics and the run's error.
+    """
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", "30", "--trace", "0"],
         cwd=tree, capture_output=True, text=True,
     )
+    row = {"seed": seed, "side": side}
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
-        raise RuntimeError(f"bench/run.py failed in {tree} (seed {seed}):\n{proc.stderr}")
-    return json.loads(lines[-1])
+        stderr = proc.stderr.strip().splitlines()
+        row.update({m: None for m in metrics}, correct=False, failed=None)
+        row["error"] = f"exit {proc.returncode}: {stderr[-1] if stderr else 'no result'}"
+        return row
+    result = json.loads(lines[-1])
+    row.update({m: round(result["metrics"][m]["value"], 4) for m in metrics})
+    row.update(correct=result["correct"], failed=result["failed"])
+    return row
 
 
 def _quartiles(values):
+    if not values:
+        return None, None, None
     if len(values) == 1:
         return values[0], values[0], values[0]
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
@@ -100,28 +117,30 @@ def main(argv=None) -> int:
         for i, seed in enumerate(args.seed_list):
             order = [("before", parent), ("after", change)]
             for side, tree in order if i % 2 == 0 else order[::-1]:
-                result = _run(tree, args.workload, seed)
-                row = {"seed": seed, "side": side}
-                row.update({m: round(result["metrics"][m]["value"], 4) for m in metrics})
-                row.update(correct=result["correct"], failed=result["failed"])
+                row = _run(tree, args.workload, seed, side, metrics)
                 runs.append(row)
                 print(json.dumps(row), flush=True)
 
     summary = {}
     print(f"\n{args.workload}, {len(args.seed_list)} pairs, parent {args.parent}")
     for m, better in metrics.items():
-        side = {s: [r[m] for r in runs if r["side"] == s] for s in ("before", "after")}
-        wins = sum(
-            (a < b) if better == "lower" else (a > b)
-            for a, b in zip(side["after"], side["before"])
-        )
+        value = {(r["seed"], r["side"]): r[m] for r in runs}  # None for a failed run
+        side = {
+            s: [value[seed, s] for seed in args.seed_list if value[seed, s] is not None]
+            for s in ("before", "after")
+        }
+        pairs = [
+            (value[seed, "after"], value[seed, "before"]) for seed in args.seed_list
+            if value[seed, "after"] is not None and value[seed, "before"] is not None
+        ]
+        wins = sum((a < b) if better == "lower" else (a > b) for a, b in pairs)
         entry = {}
         for s in ("before", "after"):
-            q1, med, q3 = _quartiles(side[s])
-            entry[s] = {"q1": round(q1, 4), "median": round(med, 4), "q3": round(q3, 4)}
-            print(f"  {m:<12} {s:<6} median {med:.4f}  quartiles {q1:.4f} .. {q3:.4f}")
-        entry[f"after_{better}_in_pairs"] = f"{wins}/{len(side['after'])}"
-        print(f"  {m:<12} the working tree is {better} in {wins} of {len(side['after'])} pairs")
+            q1, med, q3 = (None if v is None else round(v, 4) for v in _quartiles(side[s]))
+            entry[s] = {"q1": q1, "median": med, "q3": q3}
+            print(f"  {m:<12} {s:<6} median {med}  quartiles {q1} .. {q3}")
+        entry[f"after_{better}_in_pairs"] = f"{wins}/{len(pairs)}"
+        print(f"  {m:<12} the working tree is {better} in {wins} of {len(pairs)} pairs")
         summary[m] = entry
     bad = [r for r in runs if not r["correct"] or r["failed"]]
     if bad:

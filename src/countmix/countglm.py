@@ -8,7 +8,9 @@ per-row scores and information terms (``_row_derivs``) and their weighted
 assembly into gradients and X' diag(w i) X (``_weighted_derivs``) are built.
 The damped Newton driver ``_newton`` fits C weighted regressions of one
 family on it, over beta for Poisson and (beta, log alpha) for NB-2, each
-with its own step halving and stopping rule.  The one-row likelihood
+with its own step halving and stopping rule.  Every fit runs over a column
+mask of the design: row c keeps the columns of ``d.X`` that its mask keeps,
+and the full design is the all-ones mask.  The one-row likelihood
 functions and :func:`fit_poisson` / :func:`fit_nb2` are blocks of one; the
 EM M-step, the ICOMP information and the Wald SEs use the same kernel.
 
@@ -286,16 +288,14 @@ def _column_products(X: np.ndarray) -> np.ndarray:
     return (X[:, :, None] * X[:, None, :]).reshape(-1, k * k)
 
 
-def _weighted_derivs(d: Dataset, W: np.ndarray, rows, products=False):
+def _weighted_derivs(d: Dataset, W: np.ndarray, rows, xx: np.ndarray):
     """Gradients (C, m) and information matrices (C, m, m) from :func:`_row_derivs` terms.
 
-    ``W`` is the (C, n) block of weights; m is k for Poisson and k + 1
+    ``W`` is the (C, n) block of weights and ``xx`` the column products
+    of ``d.X`` (:func:`_column_products`); m is k for Poisson and k + 1
     for NB-2, whose last coordinate is s = log(alpha).  The beta-beta
-    blocks are one stacked product X' diag(w_c i_c) X, so each row's
-    information is computed exactly as for a row on its own.  With
-    ``products`` they are instead one (C, n) @ (n, k*k) product with the
-    rows' column products x_ij x_il, the same sums in another order,
-    which makes no (C, n, k) temporary: a large block of masks uses it.
+    blocks X' diag(w_c i_c) X of all rows are one (C, n) @ (n, k*k)
+    product, which makes no (C, n, k) temporary.
     """
     u, i_ee, v, i_es, i_ss = rows
     on = W > 0.0
@@ -305,10 +305,7 @@ def _weighted_derivs(d: Dataset, W: np.ndarray, rows, products=False):
 
     grad = weighted(u) @ d.X
     C, k = grad.shape
-    if products:
-        beta_info = (weighted(i_ee) @ _column_products(d.X)).reshape(C, k, k)
-    else:
-        beta_info = d.X.T @ (d.X * weighted(i_ee)[:, :, None])
+    beta_info = (weighted(i_ee) @ xx).reshape(C, k, k)
     if v is None:
         return grad, beta_info
     info = np.empty((C, k + 1, k + 1))
@@ -318,27 +315,16 @@ def _weighted_derivs(d: Dataset, W: np.ndarray, rows, products=False):
     return np.column_stack([grad, weighted(v).sum(axis=1)]), info
 
 
-def _derivs(family: str, x: np.ndarray, d: Dataset, W: np.ndarray, keep=None):
-    """Gradients and information matrices of C weighted log-likelihoods.
+def _derivs(family: str, x: np.ndarray, d: Dataset, W: np.ndarray, xx: np.ndarray):
+    """Gradients and information matrices of C weighted log-likelihoods over all of ``d.X``.
 
-    Each row of ``x`` is beta, then s = log(alpha) for NB-2.  ``keep`` is
-    an optional (C, k) boolean block of the columns of ``d.X`` that each
-    row uses (s is always kept).  A dropped column gets zero gradient and
-    a unit row and column in the information, so a Newton step leaves its
-    coefficient at 0 and ``beta @ d.X.T`` stays the masked design's
-    linear predictor.
+    Each row of ``x`` is beta, then s = log(alpha) for NB-2; ``xx`` is
+    the column products of ``d.X``.  :func:`_newton` restricts them to
+    each row's column mask.
     """
     k = d.X.shape[1]
     alpha = np.exp(x[:, k:]) if family == NB2 else None
-    rows = _row_derivs(family, x[:, :k], alpha, d)
-    grad, info = _weighted_derivs(d, W, rows, products=keep is not None)
-    if keep is None:
-        return grad, info
-    m = grad.shape[1]
-    if m > k:
-        keep = np.column_stack([keep, np.ones(len(keep), dtype=bool)])
-    both = keep[:, :, None] & keep[:, None, :]
-    return np.where(keep, grad, 0.0), np.where(both, info, np.eye(m))
+    return _weighted_derivs(d, W, _row_derivs(family, x[:, :k], alpha, d), xx)
 
 
 def _one_row(family: str, beta, alpha, d: Dataset, w):
@@ -363,7 +349,8 @@ def _one_row(family: str, beta, alpha, d: Dataset, w):
 def _one_row_grad(family: str, beta, alpha, d: Dataset, w) -> np.ndarray:
     beta, alpha, W, _ = _one_row(family, beta, alpha, d, w)
     with np.errstate(**_QUIET):
-        return _weighted_derivs(d, W, _row_derivs(family, beta, alpha, d))[0][0]
+        rows = _row_derivs(family, beta, alpha, d)
+        return _weighted_derivs(d, W, rows, _column_products(d.X))[0][0]
 
 
 def poisson_loglik(beta, d: Dataset, w=None) -> float:
@@ -399,7 +386,7 @@ def check_design_rank(d: Dataset, w=None) -> None:
     orthogonal to it and factored by a column-pivoted Householder QR.  So
     a constant covariate is the column named, never the intercept.
     """
-    _check_rank(d, _weights(d, w))
+    _check_rank(d, _weights(d, w), np.arange(d.p + 1))
 
 
 def _pivoted_qr_diagonal(A: np.ndarray):
@@ -428,13 +415,13 @@ def _pivoted_qr_diagonal(A: np.ndarray):
     return diag, order
 
 
-def _check_rank(d: Dataset, w: np.ndarray, cols=None) -> None:
+def _check_rank(d: Dataset, w: np.ndarray, cols: np.ndarray) -> None:
     """:func:`check_design_rank` for pre-validated weights.
 
-    ``cols`` optionally picks the columns of ``d.X`` (0 first) that make
-    the design, as ``apply_mask`` would, without building that Dataset.
+    ``cols`` picks the columns of ``d.X`` (0 first) that make the design,
+    as ``apply_mask`` would, without building that Dataset.
     """
-    X = d.X if cols is None else d.X[:, cols]
+    X = d.X[:, cols]
     active = w >= WEIGHT_FLOOR
     k = X.shape[1]
     n_active = int(np.count_nonzero(active))
@@ -461,8 +448,7 @@ def _check_rank(d: Dataset, w: np.ndarray, cols=None) -> None:
         return
     # order counts the columns after the intercept, so order + 1 indexes X
     dep = ([0] if r00 <= tol else []) + sorted(int(j) + 1 for j in order[diag <= tol])
-    if cols is not None:
-        dep = [int(cols[j]) for j in dep]
+    dep = [int(cols[j]) for j in dep]
     labels = tuple("intercept" if j == 0 else d.names[j - 1] for j in dep)
     raise SingularDesignError(
         f"design is rank deficient; dependent column(s): {', '.join(labels)}",
@@ -470,11 +456,11 @@ def _check_rank(d: Dataset, w: np.ndarray, cols=None) -> None:
     )
 
 
-def _rank_screen(d: Dataset, W: np.ndarray, keep=None) -> np.ndarray:
+def _rank_screen(d: Dataset, W: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """(C,) flags of the rows of the weight block W that pass :func:`_check_rank`.
 
-    ``keep`` is an optional (C, k) block of the columns of ``d.X`` that
-    each row's design keeps.  A flagged row is proven full rank; an
+    ``keep`` is the (C, k) block of the columns of ``d.X`` that each
+    row's design keeps.  A flagged row is proven full rank; an
     unflagged one may be either, and only the exact check can tell.  With
     G the weighted Gram matrix of a row's active rows and kept columns,
     and S its Schur complement on the intercept (the Gram matrix of the
@@ -499,23 +485,23 @@ def _rank_screen(d: Dataset, W: np.ndarray, keep=None) -> np.ndarray:
     C, k_all = W.shape[0], X.shape[1]
     active = W >= WEIGHT_FLOOR
     n_active = np.count_nonzero(active, axis=1)
-    k = np.full(C, k_all) if keep is None else keep.sum(axis=1)
-    passed = (n_active >= k) & (k == 1)  # sqrt(w) alone has rank 1
-    todo = np.flatnonzero((n_active >= k) & (k > 1))
+    k = keep.sum(axis=1)
+    enough = n_active >= k
+    passed = enough & (k == 1)  # sqrt(w) alone has rank 1
+    todo = np.flatnonzero(enough & (k > 1))
     if not todo.size:
         return passed
     with np.errstate(**_QUIET):
         gram = (np.where(active[todo], W[todo], 0.0) @ _column_products(X)).reshape(-1, k_all, k_all)
-        if keep is not None:
-            kt = keep[todo]
-            gram = np.where(kt[:, :, None] & kt[:, None, :], gram, 0.0)
+        kt = keep[todo]
+        gram = np.where(kt[:, :, None] & kt[:, None, :], gram, 0.0)
         diag = np.diagonal(gram, axis1=1, axis2=2)
         trace = diag.sum(axis=1)
         g = gram[:, 0, 1:]
         schur = gram[:, 1:, 1:] - g[:, :, None] * (g / gram[:, :1, 0])[:, None, :]
-        if keep is not None:  # a dropped column adds an eigenvalue tr(G), above the bound
-            on = np.arange(k_all - 1)
-            schur[:, on, on] = np.where(kt[:, 1:], schur[:, on, on], trace[:, None])
+        # a dropped column adds an eigenvalue tr(G), above the bound
+        on = schur.reshape(todo.size, -1)[:, ::k_all]  # a view of each diagonal
+        on[...] = np.where(kt[:, 1:], on, trace[:, None])
         nt, kk = n_active[todo], k[todo]
         eps = np.finfo(float).eps
         bound = diag.max(axis=1) * (np.maximum(nt, kk) * eps) ** 2 + 8.0 * (nt + 2 * kk) * eps * trace
@@ -527,16 +513,16 @@ def _rank_screen(d: Dataset, W: np.ndarray, keep=None) -> np.ndarray:
     return passed
 
 
-def _rank_errors(d: Dataset, W: np.ndarray, keep=None) -> list:
+def _rank_errors(d: Dataset, W: np.ndarray, keep: np.ndarray) -> list:
     """Per row of the (C, n) weight block W, the error :func:`_check_rank` raises, or None.
 
-    ``keep`` is :func:`_rank_screen`'s optional column mask.  Only the
-    rows the screen does not pass are factored, one by one.
+    ``keep`` is :func:`_rank_screen`'s column mask.  Only the rows the
+    screen does not pass are factored, one by one.
     """
     errors = [None] * len(W)
     for c in np.flatnonzero(~_rank_screen(d, W, keep)):
         try:
-            _check_rank(d, W[c], None if keep is None else np.flatnonzero(keep[c]))
+            _check_rank(d, W[c], np.flatnonzero(keep[c]))
         except SingularDesignError as exc:
             errors[c] = exc
     return errors
@@ -583,16 +569,18 @@ def _is_pd(a) -> np.ndarray:
     return out
 
 
-def _newton(family, x, d, W, max_iter, keep=None):
+def _newton(family, x, d, W, max_iter, keep):
     """Damped Newton ascent on C weighted log-likelihoods of one family at once.
 
     Row c of ``x`` (C, m) is fitted to weight row c of ``W`` (C, n): beta
-    for Poisson, (beta, s) with s = log(alpha) last for NB-2.  With a
-    (C, k) column mask ``keep`` (see :func:`_derivs`), row c is fitted on
-    the columns of ``d.X`` that ``keep[c]`` keeps, and the coefficients of
-    the others stay at their starting value, which callers set to 0.  Every row
-    follows its own course, as if fitted alone: its own step halving,
-    dispersion freeze, fallback step and stopping test.  s stays in
+    for Poisson, (beta, s) with s = log(alpha) last for NB-2, on the
+    columns of ``d.X`` that row c of the (C, k) boolean mask ``keep``
+    keeps.  A dropped column gets zero gradient and a unit row and column
+    in the information, so its coefficient stays at its starting value,
+    which callers set to 0, and ``beta @ d.X.T`` stays the masked design's
+    linear predictor.  Every row follows its own course, as if fitted
+    alone: its own step halving, dispersion freeze, fallback step and
+    stopping test.  s stays in
     [log ALPHA_MIN, log ALPHA_MAX] and is frozen while its gradient points
     out of that box; its step is clipped to +-5, and where the joint
     information is not positive definite s takes a bounded uphill step of
@@ -613,8 +601,14 @@ def _newton(family, x, d, W, max_iter, keep=None):
         nb2 = family == NB2
         k = m - 1 if nb2 else m  # beta coordinates
         ll = _loglik(family, x, d, W)
-        # x, W and ll hold the rows still in the block; a row's results are
-        # written out when it leaves, at the positions in ``live``
+        # built once per block: the column products, and each row's mask over
+        # its m coordinates (s is always kept) and over its information
+        xx, eye = _column_products(d.X), np.eye(m)
+        wide = np.ones((C, m), dtype=bool)
+        wide[:, :k] = keep
+        both = wide[:, :, None] & wide[:, None, :]
+        # x, W, ll and the masks hold the rows still in the block; a row's
+        # results are written out when it leaves, at the positions in ``live``
         live, prev_ll = np.arange(C), None
         out_x, out_ll = np.empty((C, m)), np.empty(C)
         converged = np.zeros(C, dtype=bool)
@@ -626,7 +620,8 @@ def _newton(family, x, d, W, max_iter, keep=None):
             converged[at], iterations[at] = ok, it
 
         for it in range(max_iter):
-            grad, inf = _derivs(family, x, d, W, keep)
+            grad, inf = _derivs(family, x, d, W, xx)
+            grad, inf = np.where(wide, grad, 0.0), np.where(both, inf, eye)
             gfree, frozen = grad, None
             if nb2:
                 frozen = _alpha_side(np.exp(x[:, k])) * grad[:, k] > 0.0
@@ -641,7 +636,7 @@ def _newton(family, x, d, W, max_iter, keep=None):
                 live, x, W, ll = live[go], x[go], W[go], ll[go]
                 grad, inf, gfree = grad[go], inf[go], gfree[go]
                 frozen = None if frozen is None else frozen[go]
-                keep = None if keep is None else keep[go]
+                wide, both = wide[go], both[go]
                 if not live.size:
                     break
             # a Newton step on the free part, or beta's step beside a bounded s move
@@ -657,8 +652,7 @@ def _newton(family, x, d, W, max_iter, keep=None):
                 part = ~full
                 step[part, :k] = _solve(inf[part][:, :k, :k], grad[part, :k])
                 step[part, k] = np.where(frozen[part], 0.0, 0.5 * np.sign(grad[part, k]))
-            if keep is not None:  # exactly 0, whichever solver ran
-                step[:, :k] = np.where(keep, step[:, :k], 0.0)
+            step = np.where(wide, step, 0.0)  # exactly 0, whichever solver ran
             if nb2:
                 s_step = np.clip(step[:, k], -5.0, 5.0)
             # halve each row's step until its logL does not decrease.  The
@@ -694,7 +688,7 @@ def _newton(family, x, d, W, max_iter, keep=None):
                 go = np.ones(live.size, dtype=bool)
                 go[pos] = False
                 live, W, ll, new_x, new_ll = live[go], W[go], ll[go], new_x[go], new_ll[go]
-                keep = None if keep is None else keep[go]
+                wide, both = wide[go], both[go]
                 if not live.size:
                     break
             x, ll, prev_ll = new_x, new_ll, ll
@@ -732,14 +726,14 @@ def _alpha_moment_estimate(beta, d, W):
         return np.where(ok, np.clip(num / den, 1e-4, ALPHA_MAX), 1.0)
 
 
-def _fit_block(family, d, W, init, max_iter, keep=None):
+def _fit_block(family, d, W, init, max_iter, keep):
     """Fit C weighted regressions of one family in one :func:`_newton` block.
 
     ``W`` is a (C, n) block of validated weights; ``init`` holds (C, m)
     starting rows in the driver's layout, or is None for cold starts (for
     NB-2, a Poisson block fit and a moment estimate of alpha).  ``keep``
-    is :func:`_newton`'s optional (C, k) column mask; a cold start and a
-    warm start from a masked fit hold 0 at every dropped column.
+    is :func:`_newton`'s (C, k) column mask; a cold start and a warm start
+    from a masked fit hold 0 at every dropped column.
     """
     if init is None:
         init = _poisson_start(d, W)
@@ -750,7 +744,7 @@ def _fit_block(family, d, W, init, max_iter, keep=None):
 
 
 def _fit_one(family, d, w, init) -> GlmFit:
-    """:func:`fit_poisson` or :func:`fit_nb2` as a :func:`_fit_block` of one.
+    """:func:`fit_poisson` or :func:`fit_nb2` as a :func:`_fit_block` of one, on the all-ones mask.
 
     The standard errors come from the information at the returned x.
     """
@@ -758,7 +752,8 @@ def _fit_one(family, d, w, init) -> GlmFit:
     nb2 = family == NB2
     if nb2 and d.n < d.p + 2:
         raise DimensionError(f"NB-2 needs n >= p + 2 ({d.n} < {d.p + 2})")
-    error = _rank_errors(d, w[None])[0]
+    W, keep = w[None], np.ones((1, d.p + 1), dtype=bool)  # a block of one, on the full design
+    error = _rank_errors(d, W, keep)[0]
     if error is not None:
         raise error
     if init is not None:  # to the driver's layout: beta, then log alpha for NB-2
@@ -768,10 +763,9 @@ def _fit_one(family, d, w, init) -> GlmFit:
         else:
             init = _beta(init, d)
         init = init[None]
-    W = w[None]
-    x, ll, converged, iterations = _fit_block(family, d, W, init, DEFAULT_MAX_ITER)
+    x, ll, converged, iterations = _fit_block(family, d, W, init, DEFAULT_MAX_ITER, keep)
     with np.errstate(**_QUIET):
-        info = _derivs(family, x, d, W)[1]
+        info = _derivs(family, x, d, W, _column_products(d.X))[1]
     k = d.p + 1
     alpha = float(np.exp(x[0, k])) if nb2 else 0.0
     return GlmFit(

@@ -125,7 +125,7 @@ def observed_info(model: MixtureModel, d: Dataset) -> np.ndarray:
     with np.errstate(**countglm._QUIET):
         # the complete-data blocks of all G components from one weighted assembly
         rows = countglm._row_derivs(model.family, *_component_stacks(comps, d, model.family), d)
-        blocks = countglm._weighted_derivs(d, resp.T, rows)[1]
+        blocks = countglm._weighted_derivs(d, resp.T, rows, countglm._column_products(d.X))[1]
         for g in range(G):
             b = slice(g * k, (g + 1) * k)
             scores[:, g, b] = d.X * rows[0][g, :, None]

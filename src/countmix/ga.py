@@ -167,17 +167,16 @@ def mask_row(rows, G: int | str, criterion: str) -> ScoreRow | None:
 def _block_rows(masks, d: Dataset, G: int, family: str, starts, with_icomp: bool) -> list:
     """Per mask, the :class:`ScoreRow` of its G-component fit on its masked design, or None.
 
-    Every restart of every mask runs in one :func:`_run_em` over ``d.X``
-    from ``starts`` (:func:`em_fit`'s), and each mask keeps its best restart
-    as :func:`em_fit` does, so a row is the masked fit's up to rounding.  A
+    Every mask runs every one of ``starts`` (:func:`em_fit`'s) in one
+    :func:`_run_em` over ``d.X``, and each mask keeps its best restart as
+    :func:`em_fit` does, so a row is the masked fit's up to rounding.  A
     mask with G(p+2) > n is not fitted; one whose restarts all fail is None.
     """
     keep = np.ones((len(masks), d.p + 1), dtype=bool)
     keep[:, 1:] = [m.bits for m in masks]
     sized = np.flatnonzero(G * (keep.sum(axis=1) + 1) <= d.n)  # n >= G(p+2), as em_fit requires
     R = len(starts)
-    resp0 = np.broadcast_to(starts, (sized.size, *starts.shape)).reshape(-1, d.n, G)  # read only
-    fits = _run_em(d, family, resp0, np.repeat(keep[sized], R, axis=0)) if sized.size else []
+    fits = _run_em(d, family, starts, keep[sized]) if sized.size else []
     out: list = [None] * len(masks)
     for j, i in enumerate(sized):
         try:
@@ -380,7 +379,8 @@ def report_components(model: MixtureModel, d: Dataset) -> list[dict]:
         rows = countglm._row_derivs(
             model.family, *_component_stacks(model.components, d, model.family), d
         )
-        info = countglm._weighted_derivs(d, model.responsibilities.T, rows)[1]
+        xx = countglm._column_products(d.X)
+        info = countglm._weighted_derivs(d, model.responsibilities.T, rows, xx)[1]
     tables = []
     for g, comp in enumerate(model.components):
         r = model.responsibilities[:, g]

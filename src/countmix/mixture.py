@@ -6,8 +6,9 @@ log-sum-exp; the complete-data form appears only implicitly inside EM.
 :func:`em_fit` runs its restarts in lock-step: every EM iteration fits
 all (restart, component) refits in one block of the shared Newton driver
 in ``countglm`` and takes one posterior pass over every running restart.
-The same loop fits the restarts of a block of covariate masks at any G
-over the shared design; its memory grows as masks x restarts x G x n.
+Every fit runs over a column mask of the design, and the full design is
+the all-ones mask: the same loop fits the restarts of a block of
+covariate masks at any G, with memory growing as masks x restarts x G x n.
 """
 
 from __future__ import annotations
@@ -206,21 +207,20 @@ def e_step(components, d: Dataset, family: str) -> np.ndarray:
     return resp
 
 
-def _restart_failures(W: np.ndarray, d: Dataset, G: int, columns=None) -> list:
+def _restart_failures(W: np.ndarray, d: Dataset, G: int, keep: np.ndarray) -> list:
     """Per restart, the error its M-step raises on its G weight rows of W, or None.
 
-    ``W`` stacks the (G, n) weight rows of R restarts.  Each restart's
+    ``W`` stacks the (G, n) weight rows of R restarts, and ``keep`` the
+    (R*G, k) column masks over ``d.X`` of those rows.  Each restart's
     components are checked in order: an effective sample sum_i r_ig below
     p+2, for the p covariates its design keeps, is a
     :class:`ComponentCollapseError`, a rank-deficient weighted design a
-    :class:`SingularDesignError`.  ``columns`` is the optional (R, k)
-    column mask over ``d.X`` of :func:`_run_em`.  The rank of all rows is
-    screened at once by ``countglm._rank_errors``.
+    :class:`SingularDesignError`.  The rank of all rows is screened at
+    once by ``countglm._rank_errors``.
     """
-    keep = None if columns is None else np.repeat(columns, G, axis=0)
     ranks = countglm._rank_errors(d, W, keep)
     mass = W.sum(axis=1)
-    p = np.full(len(W), d.p) if keep is None else keep.sum(axis=1) - 1
+    p = keep.sum(axis=1) - 1
     failures = []
     for r in range(len(W) // G):
         failure = None
@@ -238,13 +238,13 @@ def _restart_failures(W: np.ndarray, d: Dataset, G: int, columns=None) -> list:
     return failures
 
 
-def _m_step(resp: np.ndarray, d: Dataset, family: str, prev, columns=None):
+def _m_step(resp: np.ndarray, d: Dataset, family: str, prev, columns: np.ndarray):
     """One M-step for a stack of R restarts, all R*G refits in one Newton block.
 
     ``resp`` is (R, n, G) with entries in [0, 1]; ``prev`` holds the
     previous parameter rows (R*G, m) in the Newton driver's layout (beta,
     then log alpha for NB-2), or None for cold starts.  ``columns`` is
-    an optional (R, k) column mask over ``d.X`` per restart (see
+    the (R, k) column mask over ``d.X`` of each restart (see
     :func:`_run_em`).  Returns the mixture weights (R, G), the new rows
     (R*G, m; NaN for a failed restart) and per restart the error that
     discards it, or None.
@@ -253,13 +253,13 @@ def _m_step(resp: np.ndarray, d: Dataset, family: str, prev, columns=None):
     pis = resp.sum(axis=1) / n  # the mean over rows
     pis = pis / pis.sum(axis=1, keepdims=True)
     W = np.clip(resp.transpose(0, 2, 1).reshape(R * G, n), 0.0, 1.0)
-    failures = _restart_failures(W, d, G, columns)
+    keep = np.repeat(columns, G, axis=0)
+    failures = _restart_failures(W, d, G, keep)
     cols = np.repeat([f is None for f in failures], G)
     x = np.full((R * G, d.p + 1 + (family == NB2)), np.nan)
     if cols.any():
         init = None if prev is None else prev[cols]
-        block = None if columns is None else np.repeat(columns, G, axis=0)[cols]
-        x[cols] = countglm._fit_block(family, d, W[cols], init, M_STEP_FIT_MAX_ITER, block)[0]
+        x[cols] = countglm._fit_block(family, d, W[cols], init, M_STEP_FIT_MAX_ITER, keep[cols])[0]
     return pis, x, failures
 
 
@@ -291,7 +291,7 @@ def m_step(resp: np.ndarray, d: Dataset, family: str):
         raise DomainError("responsibility rows must sum to 1")
     for w in resp.T:
         countglm._weights(d, w)
-    pis, x, failures = _m_step(resp[None], d, family, None)
+    pis, x, failures = _m_step(resp[None], d, family, None, np.ones((1, d.p + 1), dtype=bool))
     if failures[0] is not None:
         raise failures[0]
     return _components(pis[0], x, family)
@@ -372,35 +372,38 @@ def _start_stack(d: Dataset, G: int, seed, restarts: int) -> np.ndarray:
     return np.stack(starts)
 
 
-def _run_em(d, family, resp0, columns=None):
-    """Lock-step EM from an (R, n, G) stack of starting responsibilities.
+def _run_em(d, family, starts, masks):
+    """Lock-step EM of M column masks, each from an (R, n, G) stack of starts.
 
-    Each iteration makes one M-step over the R*G weight columns of the
-    restarts still running (one Newton block), one log-density build for
-    all their components, and one posterior pass whose normalizers give
-    each restart's log-likelihood and whose responsibilities feed its next
-    M-step.  A restart leaves the stack on its own when it converges, when
-    a component collapses (a weight below 1/(2n) or an effective sample
-    below p+2), when its weighted design is singular or when its density
-    overflows; its course is the one it would take alone.  Returns, per
-    restart, its :class:`MixtureModel` or the error that ended it.
+    ``masks`` is an (M, k) boolean block of the columns of ``d.X`` (the
+    intercept among them) that each fit's design keeps; the full design is
+    the all-ones mask.  Every mask runs every start, so M * R restarts,
+    mask by mask, go through one loop.  Each iteration makes one M-step
+    over the weight columns of the restarts still running (one Newton
+    block), one log-density build for all their components, and one
+    posterior pass whose normalizers give each restart's log-likelihood
+    and whose responsibilities feed its next M-step.  A restart leaves the
+    stack on its own when it converges, when a component collapses (a
+    weight below 1/(2n) or an effective sample below p+2), when its
+    weighted design is singular or when its density overflows; its course
+    is the one it would take alone.  A dropped coefficient stays exactly 0
+    (see ``countglm._newton``), so each restart is the fit of its masked
+    design, up to rounding.  Returns, per restart (mask-major), its
+    :class:`MixtureModel` or the error that ended it.
 
-    ``columns`` is an optional (R, k) boolean block of the columns of
-    ``d.X`` (the intercept among them) that restart r's design keeps:
-    its dropped coefficients stay exactly 0 (see ``countglm._derivs``),
-    so each restart is the fit of its masked design, up to rounding.
     The warnings about rows of zero density are held per restart and
-    issued restart by restart; without ``columns``, none after the first
-    restart that overflows, where :func:`em_fit` raises.
+    issued restart by restart, mask by mask; within a mask, none after its
+    first restart that overflows, where :func:`em_fit` raises.
     """
-    R, n, G = resp0.shape
-    k = d.p + 1
-    outcome: list = [None] * R
-    traces = [[] for _ in range(R)]
-    lost = [[] for _ in range(R)]  # per restart, the zero-density row count of each pass
-    live, resp, x = np.arange(R), resp0, None
+    R, n, G = starts.shape
+    M, k = masks.shape
+    outcome: list = [None] * (M * R)
+    traces = [[] for _ in outcome]
+    lost = [[] for _ in outcome]  # per restart, the zero-density row count of each pass
+    live, x = np.arange(M * R), None
+    resp = starts[live % R]  # restart r of every mask starts from starts[r]
     for _ in range(DEFAULT_EM_MAX_ITER):
-        pis, x, ended = _m_step(resp, d, family, x, None if columns is None else columns[live])
+        pis, x, ended = _m_step(resp, d, family, x, masks[live // R])
         for j, pi in enumerate(pis):
             if ended[j] is None and pi.min() < 1.0 / (2.0 * n):
                 ended[j] = ComponentCollapseError(
@@ -442,11 +445,12 @@ def _run_em(d, family, resp0, columns=None):
                 break
     for j, r in enumerate(live):  # stopped by the iteration cap
         outcome[r] = _model(family, pis[j], x[j * G:(j + 1) * G], resp[j], traces[r], False)
-    for counts, out in zip(lost, outcome):
-        for count in counts:
-            _warn_zero_density(count, stacklevel=2)
-        if columns is None and isinstance(out, NumericOverflowError):
-            break
+    for fit in range(0, M * R, R):
+        for counts, out in zip(lost[fit:fit + R], outcome[fit:fit + R]):
+            for count in counts:
+                _warn_zero_density(count, stacklevel=2)
+            if isinstance(out, NumericOverflowError):
+                break
     return outcome
 
 
@@ -473,9 +477,10 @@ def em_fit(
 
     The restarts start from :func:`_start_stack` (the count-mixture
     assignment and its Dirichlet redraws; one run at G=1), run in
-    lock-step through :func:`_run_em`, and :func:`_best_restart` keeps the
-    best that did not collapse (a weight below 1/(2n), an effective sample
-    below p+2, or a singular weighted design).  If every restart collapses
+    lock-step through :func:`_run_em` on the all-ones column mask, and
+    :func:`_best_restart` keeps the best that did not collapse (a weight
+    below 1/(2n), an effective sample below p+2, or a singular weighted
+    design).  If every restart collapses
     the fit is retried at G-1 and tagged with a collapse diagnostic; if
     that retry fails too, the :class:`ComponentCollapseError` names G and
     the first restart discarded at G.  EM stops at a relative logL change
@@ -491,7 +496,8 @@ def em_fit(
         raise DimensionError(
             f"n={d.n} is too small for G={G} components with p={d.p}"
         )
-    best, notes = _best_restart(_run_em(d, family, _start_stack(d, G, seed, restarts)))
+    full = np.ones((1, d.p + 1), dtype=bool)
+    best, notes = _best_restart(_run_em(d, family, _start_stack(d, G, seed, restarts), full))
     if best is None:
         if G == 1:
             raise ComponentCollapseError(

@@ -182,17 +182,49 @@ class TestGradients:
         x = np.array([0.9, 0.25, 0.1])  # beta, then log alpha for NB-2
         if alpha is not None:
             x = np.append(x, np.log(alpha))
-        grad, info = (a[0] for a in countglm._derivs(family, x[None], d, w[None]))
+        xx = countglm._column_products(d.X)
+        grad, info = (a[0] for a in countglm._derivs(family, x[None], d, w[None], xx))
         fd_grad = jacobian_central(
             lambda t: countglm._loglik(family, t[None], d, w[None]), x, rel_step=1e-6
         )[0]
         assert np.max(np.abs(grad - fd_grad) / (1.0 + np.abs(fd_grad))) < 1e-5
         J = jacobian_central(
-            lambda t: countglm._derivs(family, t[None], d, w[None])[0][0], x, rel_step=1e-6
+            lambda t: countglm._derivs(family, t[None], d, w[None], xx)[0][0], x, rel_step=1e-6
         )
         fd_info = -(J + J.T) / 2.0
         np.testing.assert_allclose(info, info.T, rtol=1e-12)
         assert np.max(np.abs(info - fd_info)) <= 1e-6 * np.max(np.abs(info))
+
+    @staticmethod
+    def _stacked_beta_information(d, W, i_ee):
+        """Reference: X' diag(w_c i_c) X of each weight row c as one stacked product."""
+        weighted = np.where(W > 0.0, W * i_ee, 0.0)
+        return d.X.T @ (d.X * weighted[:, :, None])
+
+    @pytest.mark.parametrize("family", ["poisson", "nb2"])
+    @pytest.mark.parametrize("k", [1, 3, 9])
+    @pytest.mark.parametrize("C", [1, 2, 8, 256])
+    def test_beta_information_matches_stacked_product(self, family, k, C):
+        # the column-products form is the same sums in another order; terms
+        # that are not finite where the weight is 0 add nothing to either
+        rng = np.random.default_rng(100 * C + 10 * k + (family == "nb2"))
+        n = 60
+        X = np.column_stack([np.ones(n), rng.normal(size=(n, k - 1))])
+        d = Dataset(y=rng.poisson(3.0, n), X=X, names=tuple(f"x{j}" for j in range(1, k)))
+        W = rng.uniform(size=(C, n))
+        W[rng.random((C, n)) < 0.25] = 0.0
+        beta = rng.normal(0.0, 0.3, size=(C, k))
+        alpha = rng.uniform(0.05, 3.0, size=(C, 1)) if family == "nb2" else None
+        with np.errstate(**countglm._QUIET):
+            rows = countglm._row_derivs(family, beta, alpha, d)
+            junk = np.where(rng.random((C, n)) < 0.5, np.inf, np.nan)
+            rows = tuple(r if r is None else np.where(W > 0.0, r, junk) for r in rows)
+            info = countglm._weighted_derivs(d, W, rows, countglm._column_products(d.X))[1]
+            want = self._stacked_beta_information(d, W, rows[1])
+        got = info[:, :k, :k]
+        assert np.isfinite(info).all()
+        scale = np.abs(want).max(axis=(1, 2))
+        assert np.all(np.abs(got - want).max(axis=(1, 2)) <= 1e-13 * scale)
 
 
 class TestFitPoisson:

@@ -393,7 +393,7 @@ class TestEmFit:
         monkeypatch.setattr(mixture_mod.countglm, "_density_rows", counting)
         base = mixture_mod.init_by_count_mixture(d, 2, seed=0)
         starts = np.stack([base, 0.5 * base + 0.25, 0.8 * base + 0.1])
-        outcomes = mixture_mod._run_em(d, POISSON, starts)
+        outcomes = mixture_mod._run_em(d, POISSON, starts, np.ones((1, d.p + 1), dtype=bool))
         assert all(m.G == 2 for m in outcomes)
         assert len({m.iterations for m in outcomes}) > 1
         assert calls["n"] == max(m.iterations for m in outcomes)
@@ -446,10 +446,11 @@ class TestLockStepRestarts:
         starts[4] = 0.0  # a start whose second component holds two rows: discarded
         starts[4, :, 0] = 1.0
         starts[4, :2] = (0.0, 1.0)
-        together = mixture_mod._run_em(d, family, starts)
+        full = np.ones((1, d.p + 1), dtype=bool)
+        together = mixture_mod._run_em(d, family, starts, full)
         assert isinstance(together[4], ComponentCollapseError)
         for r, stacked in enumerate(together):
-            (alone,) = mixture_mod._run_em(d, family, starts[r : r + 1])
+            (alone,) = mixture_mod._run_em(d, family, starts[r : r + 1], full)
             assert type(stacked) is type(alone)
             if isinstance(alone, Exception):
                 assert str(stacked) == str(alone)
@@ -515,7 +516,7 @@ def _all_masks(p):
 
 def _fit_masks(d, family, keep):
     """G=1 EM of a block of column masks, one per restart, as the GA runs it."""
-    return mixture_mod._run_em(d, family, np.ones((len(keep), d.n, 1)), keep)
+    return mixture_mod._run_em(d, family, np.ones((1, d.n, 1)), keep)
 
 
 class TestMaskedG1Block:
@@ -580,17 +581,18 @@ class TestMaskedG1Block:
     @pytest.mark.parametrize(
         "family, seed, trace, beta, alpha",
         [
-            (POISSON, 31, "-0x1.c035258cdfcc2p+7",
-             ("0x1.053b8b66c6fcep+0", "0x1.9bde460c970d5p-2",
-              "-0x1.73a1a1870f664p-4", "-0x1.6d7683626066ap-2"), "0x0.0p+0"),
-            (NB2, 32, "-0x1.ea175dfc33ad6p+7",
-             ("0x1.aac13aaea9598p-1", "0x1.a38bf20b975bap-2",
-              "-0x1.026024ae0b70ep-3", "-0x1.bdf187c55e45dp-2"), "0x1.690e6325a7b70p-1"),
+            (POISSON, 31, "-0x1.c035258cdfcc1p+7",
+             ("0x1.053b8b66c6fcep+0", "0x1.9bde460c970d4p-2",
+              "-0x1.73a1a1870f665p-4", "-0x1.6d7683626066ap-2"), "0x0.0p+0"),
+            (NB2, 32, "-0x1.ea175dfc33ad5p+7",
+             ("0x1.aac13aaea9598p-1", "0x1.a38bf20b975b9p-2",
+              "-0x1.026024ae0b70fp-3", "-0x1.bdf187c55e45dp-2"), "0x1.690e6325a7b71p-1"),
         ],
     )
     def test_em_fit_g1_bitwise_equals_stored_result(self, family, seed, trace, beta, alpha):
-        # stored from em_fit with log y! from math.lgamma and the NB-2
-        # special-function differences as rising sums
+        # stored from em_fit with log y! from math.lgamma, the NB-2
+        # special-function differences as rising sums and the beta
+        # information from the design's column products
         d = _masked_data(family, seed, n=120, p=3)
         m = em_fit(d, 1, family, seed=0, restarts=1)
         assert (m.converged, m.iterations, m.G) == (True, 2, 1)
@@ -624,3 +626,35 @@ class TestMaskedG1Block:
         assert out[1].converged
         lost = [w for w in caught if "zero density" in str(w.message)]
         assert [int(str(w.message).split()[0]) for w in lost] == [3]
+
+    def test_masked_fit_stops_warning_at_its_overflowing_restart(self, monkeypatch):
+        # one mask at G=2 with two restarts: restart 0 overflows in the first
+        # E-step, where restart 1 has three rows of zero density.  em_fit
+        # raises at restart 0's overflow and warns about none of restart 1's
+        # rows, and the GA's block of one mask follows the same rule
+        from countmix import CovariateMask
+        from countmix import ga as ga_mod
+
+        d = _masked_data(POISSON, 45, p=2)
+        real = mixture_mod.countglm._density_rows
+        passes = {"t": 0}
+
+        def injecting(*args, **kwargs):
+            logf, bad = real(*args, **kwargs)
+            if sys._getframe(1).f_code is mixture_mod._run_em.__code__ and passes["t"] == 0:
+                passes["t"] += 1
+                bad[0] = True  # restart 0's first component
+                logf[2:4, :3] = -np.inf  # restart 1, both components
+            return logf, bad
+
+        monkeypatch.setattr(mixture_mod.countglm, "_density_rows", injecting)
+        starts = mixture_mod._start_stack(d, 2, 0, 2)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(NumericOverflowError):
+                em_fit(d, 2, POISSON, seed=0, restarts=2)
+            passes["t"] = 0
+            rows = ga_mod._block_rows([CovariateMask.all_ones(d.p)], d, 2, POISSON, starts, False)
+        assert passes["t"] == 1
+        assert rows == [None]
+        assert not [w for w in caught if "zero density" in str(w.message)]
