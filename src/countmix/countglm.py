@@ -282,20 +282,14 @@ def _row_derivs(family: str, beta: np.ndarray, alpha, d: Dataset):
     return u, i_ee, tail + u, i_es, i_ss
 
 
-def _column_products(X: np.ndarray) -> np.ndarray:
-    """The (n, k*k) products x_ij x_il of the columns of each row of X."""
-    k = X.shape[1]
-    return (X[:, :, None] * X[:, None, :]).reshape(-1, k * k)
-
-
-def _weighted_derivs(d: Dataset, W: np.ndarray, rows, xx: np.ndarray):
+def _weighted_derivs(d: Dataset, W: np.ndarray, rows):
     """Gradients (C, m) and information matrices (C, m, m) from :func:`_row_derivs` terms.
 
-    ``W`` is the (C, n) block of weights and ``xx`` the column products
-    of ``d.X`` (:func:`_column_products`); m is k for Poisson and k + 1
+    ``W`` is the (C, n) block of weights; m is k for Poisson and k + 1
     for NB-2, whose last coordinate is s = log(alpha).  The beta-beta
     blocks X' diag(w_c i_c) X of all rows are one (C, n) @ (n, k*k)
-    product, which makes no (C, n, k) temporary.
+    product with the dataset's cached column products, which makes no
+    (C, n, k) temporary.
     """
     u, i_ee, v, i_es, i_ss = rows
     on = W > 0.0
@@ -305,7 +299,7 @@ def _weighted_derivs(d: Dataset, W: np.ndarray, rows, xx: np.ndarray):
 
     grad = weighted(u) @ d.X
     C, k = grad.shape
-    beta_info = (weighted(i_ee) @ xx).reshape(C, k, k)
+    beta_info = (weighted(i_ee) @ d.column_products).reshape(C, k, k)
     if v is None:
         return grad, beta_info
     info = np.empty((C, k + 1, k + 1))
@@ -315,16 +309,15 @@ def _weighted_derivs(d: Dataset, W: np.ndarray, rows, xx: np.ndarray):
     return np.column_stack([grad, weighted(v).sum(axis=1)]), info
 
 
-def _derivs(family: str, x: np.ndarray, d: Dataset, W: np.ndarray, xx: np.ndarray):
+def _derivs(family: str, x: np.ndarray, d: Dataset, W: np.ndarray):
     """Gradients and information matrices of C weighted log-likelihoods over all of ``d.X``.
 
-    Each row of ``x`` is beta, then s = log(alpha) for NB-2; ``xx`` is
-    the column products of ``d.X``.  :func:`_newton` restricts them to
-    each row's column mask.
+    Each row of ``x`` is beta, then s = log(alpha) for NB-2.
+    :func:`_newton` restricts them to each row's column mask.
     """
     k = d.X.shape[1]
     alpha = np.exp(x[:, k:]) if family == NB2 else None
-    return _weighted_derivs(d, W, _row_derivs(family, x[:, :k], alpha, d), xx)
+    return _weighted_derivs(d, W, _row_derivs(family, x[:, :k], alpha, d))
 
 
 def _one_row(family: str, beta, alpha, d: Dataset, w):
@@ -350,7 +343,7 @@ def _one_row_grad(family: str, beta, alpha, d: Dataset, w) -> np.ndarray:
     beta, alpha, W, _ = _one_row(family, beta, alpha, d, w)
     with np.errstate(**_QUIET):
         rows = _row_derivs(family, beta, alpha, d)
-        return _weighted_derivs(d, W, rows, _column_products(d.X))[0][0]
+        return _weighted_derivs(d, W, rows)[0][0]
 
 
 def poisson_loglik(beta, d: Dataset, w=None) -> float:
@@ -481,8 +474,7 @@ def _rank_screen(d: Dataset, W: np.ndarray, keep: np.ndarray) -> np.ndarray:
     below eps tr(G).  The sum is under (4n + 8k + 13) eps tr(G), and the
     margin 8 (n + 2k) eps tr(G) exceeds it for k >= 2.
     """
-    X = d.X
-    C, k_all = W.shape[0], X.shape[1]
+    C, k_all = W.shape[0], d.X.shape[1]
     active = W >= WEIGHT_FLOOR
     n_active = np.count_nonzero(active, axis=1)
     k = keep.sum(axis=1)
@@ -492,7 +484,7 @@ def _rank_screen(d: Dataset, W: np.ndarray, keep: np.ndarray) -> np.ndarray:
     if not todo.size:
         return passed
     with np.errstate(**_QUIET):
-        gram = (np.where(active[todo], W[todo], 0.0) @ _column_products(X)).reshape(-1, k_all, k_all)
+        gram = (np.where(active[todo], W[todo], 0.0) @ d.column_products).reshape(-1, k_all, k_all)
         kt = keep[todo]
         gram = np.where(kt[:, :, None] & kt[:, None, :], gram, 0.0)
         diag = np.diagonal(gram, axis1=1, axis2=2)
@@ -601,9 +593,9 @@ def _newton(family, x, d, W, max_iter, keep):
         nb2 = family == NB2
         k = m - 1 if nb2 else m  # beta coordinates
         ll = _loglik(family, x, d, W)
-        # built once per block: the column products, and each row's mask over
-        # its m coordinates (s is always kept) and over its information
-        xx, eye = _column_products(d.X), np.eye(m)
+        # built once per block: each row's mask over its m coordinates (s is
+        # always kept) and over its information
+        eye = np.eye(m)
         wide = np.ones((C, m), dtype=bool)
         wide[:, :k] = keep
         both = wide[:, :, None] & wide[:, None, :]
@@ -620,7 +612,7 @@ def _newton(family, x, d, W, max_iter, keep):
             converged[at], iterations[at] = ok, it
 
         for it in range(max_iter):
-            grad, inf = _derivs(family, x, d, W, xx)
+            grad, inf = _derivs(family, x, d, W)
             grad, inf = np.where(wide, grad, 0.0), np.where(both, inf, eye)
             gfree, frozen = grad, None
             if nb2:
@@ -765,7 +757,7 @@ def _fit_one(family, d, w, init) -> GlmFit:
         init = init[None]
     x, ll, converged, iterations = _fit_block(family, d, W, init, DEFAULT_MAX_ITER, keep)
     with np.errstate(**_QUIET):
-        info = _derivs(family, x, d, W, _column_products(d.X))[1]
+        info = _derivs(family, x, d, W)[1]
     k = d.p + 1
     alpha = float(np.exp(x[0, k])) if nb2 else 0.0
     return GlmFit(

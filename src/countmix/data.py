@@ -13,6 +13,7 @@ import io
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -31,6 +32,11 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     arr = np.array(arr, copy=True, order="C")
     arr.setflags(write=False)
     return arr
+
+
+def _column_products(X: np.ndarray) -> np.ndarray:
+    """The (n, k*k) products x_ij x_il of the columns of each row of X."""
+    return (X[:, :, None] * X[:, None, :]).reshape(len(X), -1)
 
 
 @dataclass(frozen=True)
@@ -86,16 +92,17 @@ class Dataset:
     def p(self) -> int:
         return self.X.shape[1] - 1
 
-    @property
+    @cached_property
     def log_y_factorial(self) -> np.ndarray:
         """Cached log(y!) terms; constant across likelihood evaluations."""
-        cached = self.__dict__.get("_log_y_factorial")
-        if cached is None:
-            counts, at = np.unique(self.y, return_inverse=True)
-            terms = np.array([math.lgamma(c + 1.0) for c in counts.tolist()])
-            cached = _frozen(terms[at.reshape(self.y.shape)])
-            object.__setattr__(self, "_log_y_factorial", cached)
-        return cached
+        counts, at = np.unique(self.y, return_inverse=True)
+        terms = np.array([math.lgamma(c + 1.0) for c in counts.tolist()])
+        return _frozen(terms[at.reshape(self.y.shape)])
+
+    @cached_property
+    def column_products(self) -> np.ndarray:
+        """Cached (n, k*k) column products of X (:func:`_column_products`); the design is fixed."""
+        return _frozen(_column_products(self.X))
 
 
 @dataclass(frozen=True)

@@ -132,8 +132,9 @@ def fit_mask(
     """Score rows and fitted models, by G, of the mixture refit on the reported mask.
 
     At a fixed G this is one :func:`em_fit`, scored without ICOMP, and a
-    fit that collapses to fewer components raises :class:`CountmixError`;
-    at ``"per-mask"`` G it is a sweep of G = 1..g_max.
+    fit that its G-1 retry shrank raises :class:`CountmixError`; at
+    ``"per-mask"`` G it is a sweep of G = 1..g_max, which fits every G
+    exactly.
     """
     sub = apply_mask(d, mask)
     if G == PER_MASK:
@@ -168,9 +169,11 @@ def _block_rows(masks, d: Dataset, G: int, family: str, starts, with_icomp: bool
     """Per mask, the :class:`ScoreRow` of its G-component fit on its masked design, or None.
 
     Every mask runs every one of ``starts`` (:func:`em_fit`'s) in one
-    :func:`_run_em` over ``d.X``, and each mask keeps its best restart as
-    :func:`em_fit` does, so a row is the masked fit's up to rounding.  A
-    mask with G(p+2) > n is not fitted; one whose restarts all fail is None.
+    :func:`_run_em` over ``d.X``, and each mask keeps its best restart by
+    :func:`_best_restart`, as the exact-G fit behind :func:`em_fit` and
+    :func:`sweep` does, so a row is the masked fit's up to rounding.  A
+    mask with G(p+2) > n is not fitted; one whose restarts all fail, or
+    one of which overflows, is None, with no G-1 refit.
     """
     keep = np.ones((len(masks), d.p + 1), dtype=bool)
     keep[:, 1:] = [m.bits for m in masks]
@@ -180,10 +183,8 @@ def _block_rows(masks, d: Dataset, G: int, family: str, starts, with_icomp: bool
     out: list = [None] * len(masks)
     for j, i in enumerate(sized):
         try:
-            model = _best_restart(fits[j * R:(j + 1) * R])[0]
-        except CountmixError:  # a restart overflowed, where em_fit raises
-            continue
-        if model is None:
+            model = _best_restart(fits[j * R:(j + 1) * R], G)
+        except CountmixError:  # every restart failed, or one overflowed
             continue
         if with_icomp:  # the observed information of the model on its masked design
             comps = tuple(replace(c, beta=c.beta[keep[i]]) for c in model.components)
@@ -379,8 +380,7 @@ def report_components(model: MixtureModel, d: Dataset) -> list[dict]:
         rows = countglm._row_derivs(
             model.family, *_component_stacks(model.components, d, model.family), d
         )
-        xx = countglm._column_products(d.X)
-        info = countglm._weighted_derivs(d, model.responsibilities.T, rows, xx)[1]
+        info = countglm._weighted_derivs(d, model.responsibilities.T, rows)[1]
     tables = []
     for g, comp in enumerate(model.components):
         r = model.responsibilities[:, g]

@@ -278,9 +278,10 @@ def m_step(resp: np.ndarray, d: Dataset, family: str):
 
     The G refits run from cold starts as one block of the shared Newton
     driver, each capped at ``M_STEP_FIT_MAX_ITER`` (15) Newton steps: the
-    R=1 case of the first lock-step M-step in :func:`em_fit`.  A
+    R=1 case of the first lock-step M-step of :func:`_run_em`.  A
     component whose effective sample sum_i r_ig falls below p+2 raises
-    :class:`ComponentCollapseError` (caught and handled by :func:`em_fit`).
+    :class:`ComponentCollapseError`, and a singular weighted design
+    :class:`SingularDesignError`.
     """
     validate_family(family)
     resp = np.asarray(resp, dtype=float)
@@ -466,13 +467,20 @@ def _model(family, pis, x, resp, trace, converged):
     )
 
 
-def em_fit(
-    d: Dataset,
-    G: int,
-    family: str,
-    seed=0,
-    restarts: int = DEFAULT_RESTARTS,
-) -> MixtureModel:
+def _fit_g(d: Dataset, G: int, family: str, seed, restarts: int) -> MixtureModel:
+    """:func:`em_fit` at exactly G, with no retry: the best restart, or the error naming G."""
+    validate_family(family)
+    if G < 1:
+        raise DomainError(f"G must be >= 1, got {G}")
+    if restarts < 1:
+        raise DomainError("restarts must be >= 1")
+    if d.n < G * (d.p + 2):
+        raise DimensionError(f"n={d.n} is too small for G={G} components with p={d.p}")
+    full = np.ones((1, d.p + 1), dtype=bool)
+    return _best_restart(_run_em(d, family, _start_stack(d, G, seed, restarts), full), G)
+
+
+def em_fit(d: Dataset, G: int, family: str, seed=0, restarts: int = DEFAULT_RESTARTS) -> MixtureModel:
     """Fit a G-component mixture by EM with multiple restarts.
 
     The restarts start from :func:`_start_stack` (the count-mixture
@@ -480,45 +488,38 @@ def em_fit(
     lock-step through :func:`_run_em` on the all-ones column mask, and
     :func:`_best_restart` keeps the best that did not collapse (a weight
     below 1/(2n), an effective sample below p+2, or a singular weighted
-    design).  If every restart collapses
-    the fit is retried at G-1 and tagged with a collapse diagnostic; if
-    that retry fails too, the :class:`ComponentCollapseError` names G and
-    the first restart discarded at G.  EM stops at a relative logL change
-    of at most ``DEFAULT_EM_TOL`` (1e-8), or after ``DEFAULT_EM_MAX_ITER``
+    design).  That is :func:`_fit_g`, the fit at exactly G that ``sweep``
+    makes.  If every restart collapses, em_fit alone retries
+    the fit at G-1 and tags it with a collapse diagnostic; if that retry
+    fails too, the :class:`ComponentCollapseError` names G and the first
+    restart discarded at G.  EM stops at a relative logL change of at
+    most ``DEFAULT_EM_TOL`` (1e-8), or after ``DEFAULT_EM_MAX_ITER``
     (500) iterations with ``converged=False``.
     """
-    validate_family(family)
-    if G < 1:
-        raise DomainError(f"G must be >= 1, got {G}")
-    if restarts < 1:
-        raise DomainError("restarts must be >= 1")
-    if d.n < G * (d.p + 2):
-        raise DimensionError(
-            f"n={d.n} is too small for G={G} components with p={d.p}"
-        )
-    full = np.ones((1, d.p + 1), dtype=bool)
-    best, notes = _best_restart(_run_em(d, family, _start_stack(d, G, seed, restarts), full))
-    if best is None:
+    try:
+        return _fit_g(d, G, family, seed, restarts)
+    except ComponentCollapseError as failed:
         if G == 1:
-            raise ComponentCollapseError(
-                f"all restarts failed at G=1: {'; '.join(notes)}"
-            )
+            raise
         try:
             reduced = em_fit(d, G - 1, family, seed=seed, restarts=restarts)
         except ComponentCollapseError as exc:
             raise ComponentCollapseError(
-                f"all restarts failed at G={G}, and the retry at G={G - 1} failed too: {notes[0]}"
+                f"all restarts failed at G={G}, and the retry at G={G - 1} failed too: "
+                f"restart 0 discarded: {failed.__cause__}"
             ) from exc
-        note = f"all restarts collapsed at G={G}; refitted with G={reduced.G}"
-        return replace(reduced, warnings=reduced.warnings + (note,))
-    return best
+    note = f"all restarts collapsed at G={G}; refitted with G={reduced.G}"
+    return replace(reduced, warnings=reduced.warnings + (note,))
 
 
-def _best_restart(outcomes):
-    """The best of one fit's :func:`_run_em` outcomes (None if none), and the discard notes.
+def _best_restart(outcomes, G: int) -> MixtureModel:
+    """The best of one G-component fit's :func:`_run_em` outcomes.
 
     A collapsed or singular restart is discarded with a note for the
-    winner's warnings, and any other error raised; logL ties go to the first.
+    winner's warnings, and any other error raised; logL ties go to the
+    first.  When every restart is discarded, the
+    :class:`ComponentCollapseError` names G and every note, and its
+    cause is restart 0's error.
     """
     best = None
     notes: list[str] = []
@@ -530,6 +531,8 @@ def _best_restart(outcomes):
             raise out
         if best is None or out.logL > best.logL:
             best = out
-    if best is not None and notes:
+    if best is None:
+        raise ComponentCollapseError(f"all restarts failed at G={G}: {'; '.join(notes)}") from outcomes[0]
+    if notes:
         best = replace(best, warnings=best.warnings + tuple(notes))
-    return best, notes
+    return best

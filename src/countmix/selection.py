@@ -12,7 +12,7 @@ from .countglm import NB2, POISSON
 from .criteria import CRITERIA, ScoreRow, score_model
 from .data import Dataset
 from .errors import CountmixError, DomainError, NoScoreError, SweepError
-from .mixture import MixtureModel, em_fit
+from .mixture import MixtureModel, _fit_g
 
 DEFAULT_ALPHA_THRESHOLD = 0.05
 DEFAULT_G_MAX = 5
@@ -97,10 +97,10 @@ def sweep(
 ) -> SweepResult:
     """Fit G = 1..G_max mixtures and score each with all four criteria.
 
-    The family is elected once, before any mixture is fit.  A failed G
-    (or one that collapsed to fewer components) contributes a marked row
-    and never aborts the sweep; only a sweep where every G fails raises
-    :class:`SweepError`.
+    The family is elected once, before any mixture is fit.  Each row is
+    the fit at exactly G (``mixture._fit_g``), with no G-1 retry.  A
+    failed G contributes a row marked with its error and never aborts
+    the sweep; only a sweep where every G fails raises :class:`SweepError`.
     """
     if G_max < 1:
         raise DomainError(f"G_max must be >= 1, got {G_max}")
@@ -114,18 +114,13 @@ def sweep(
     models: dict[int, MixtureModel] = {}
     for G in range(1, G_max + 1):
         try:
-            model = em_fit(d, G, family_used, seed=seed, restarts=restarts)
-            error = None
-            if model.G != G:
-                error = "; ".join(model.warnings) or "collapsed to fewer components"
+            model = _fit_g(d, G, family_used, seed, restarts)
         except CountmixError as exc:
-            error = str(exc)
-        if error is not None:
             rows.append(ScoreRow(
                 G=G, logL=np.nan, n_k=0, aic=np.nan, sbc=np.nan, caic=np.nan,
-                icomp=None, ifim_condition=None, error=error,
+                icomp=None, ifim_condition=None, error=str(exc),
             ))
-            notes.append(f"G={G} failed: {error}")
+            notes.append(f"G={G} failed: {exc}")
             continue
         rows.append(score_model(model, d))
         models[G] = model

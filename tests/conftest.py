@@ -29,6 +29,25 @@ def poisson_data():
 
 
 @pytest.fixture
+def binary_split_data():
+    """Poisson counts driven by a 0/1 covariate, n=50.
+
+    A component that keeps only one value of x2 has a singular weighted
+    design, so every restart fails at some G: at G=4 and 5 for seed 3,
+    at G=3 alone for seed 12 (sweeps with seed 0 and 2 restarts).
+    """
+
+    def make(seed):
+        n = 50
+        rng = np.random.default_rng(seed)
+        X = np.column_stack([np.ones(n), rng.normal(size=n), (rng.random(n) < 0.5).astype(float)])
+        y = rng.poisson(np.exp(1.0 + 0.3 * X[:, 1] + 2.5 * X[:, 2]))
+        return Dataset(y=y, X=X, names=("x1", "x2"))
+
+    return make
+
+
+@pytest.fixture
 def hiv_schema_csv(tmp_path):
     """95-row synthetic file using the 8-covariate study schema.
 

@@ -195,7 +195,7 @@ class TestSweep:
         assert code == 3
         assert "G=1: " in err and "G=2: " in err
         assert "dependent column(s): x2" in err
-        assert "G=2: all restarts failed at G=2, and the retry at G=1 failed too" in err
+        assert "G=2: all restarts failed at G=2: restart 0 discarded: " in err
         assert "Traceback" not in err
 
 
@@ -403,8 +403,10 @@ class TestFlagsRejectedBeforeAnyFit:
             calls.append(args)
             raise AssertionError("a fit ran before the flags were checked")
 
-        for module in (mixture_mod, selection_mod, ga_mod):
-            monkeypatch.setattr(module, "em_fit", refuse)
+        for module, name in (
+            (mixture_mod, "em_fit"), (ga_mod, "em_fit"), (mixture_mod, "_fit_g"), (selection_mod, "_fit_g"),
+        ):
+            monkeypatch.setattr(module, name, refuse)
         monkeypatch.setattr(countglm_mod, "fit_nb2", refuse)
         return calls
 

@@ -4,15 +4,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from countmix import (
+    POISSON,
     CovariateMask,
     Dataset,
     apply_mask,
+    em_fit,
     load_csv,
     save_csv,
     standardize_covariates,
     subset_rows,
     summary_stats,
 )
+from countmix import data as data_mod
 from countmix.errors import (
     DimensionError,
     DomainError,
@@ -115,6 +118,25 @@ class TestDatasetInvariants:
             d.y[0] = 7
         with pytest.raises(ValueError):
             d.X[0, 0] = 7.0
+
+    def test_column_products_built_once_and_read_only(self, poisson_data, monkeypatch):
+        d = poisson_data(n=60, beta=(1.0, 0.3, -0.2), seed=3)
+        real = data_mod._column_products
+        built = []
+
+        def counting(X):
+            built.append(X)
+            return real(X)
+
+        monkeypatch.setattr(data_mod, "_column_products", counting)
+        em_fit(d, 2, POISSON, seed=0, restarts=2)  # Newton steps, rank screens, M-steps
+        xx = d.column_products
+        assert len(built) == 1 and built[0] is d.X
+        assert xx is d.column_products
+        assert xx.shape == (d.n, (d.p + 1) ** 2)
+        assert np.array_equal(xx, real(d.X))
+        with pytest.raises(ValueError):
+            xx[0, 0] = 7.0
 
 
 def _mask_dataset(p=8):

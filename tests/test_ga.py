@@ -20,6 +20,7 @@ from countmix import (
     fitness,
     report_components,
     score_model,
+    select_best,
     summary_stats,
     sweep,
 )
@@ -216,6 +217,18 @@ def _counting(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, counting)
     return calls
+
+
+@pytest.mark.filterwarnings("ignore:count-mixture initialization left an empty group")
+class TestResolveG:
+    def test_auto_fits_each_g_once(self, binary_split_data, monkeypatch):
+        # G=4 and G=5 fail at every restart; neither is refitted at a smaller G
+        d = binary_split_data(3)
+        calls = _counting(monkeypatch, mixture_mod, "_run_em")
+        cfg = GaConfig(G="auto", g_max=5, restarts=2, seed=0, criterion="caic")
+        G = ga_mod.resolve_g(d, cfg, POISSON)
+        assert [starts.shape[2] for _, _, starts, _ in calls] == [1, 2, 3, 4, 5]
+        assert G == select_best(sweep(d, 5, seed=0, restarts=2, family=POISSON).rows, "caic")
 
 
 class TestEvolve:

@@ -14,6 +14,8 @@ from countmix import (
     select_best,
     sweep,
 )
+from countmix import em_fit, score_model
+from countmix import mixture as mixture_mod
 from countmix import selection as selection_mod
 from countmix.criteria import ScoreRow
 from countmix.errors import CountmixError, DomainError, NoScoreError, SweepError
@@ -153,14 +155,14 @@ class TestSweep:
 
     def test_failed_g_marked_not_fatal(self, monkeypatch):
         d, _ = gen_regression_mixture(_sep_spec(), 250, seed=45)
-        real = selection_mod.em_fit
+        real = selection_mod._fit_g
 
-        def failing_for_three(data, G, family, **kwargs):
+        def failing_for_three(data, G, family, seed, restarts):
             if G == 3:
                 raise CountmixError("forced for test")
-            return real(data, G, family, **kwargs)
+            return real(data, G, family, seed, restarts)
 
-        monkeypatch.setattr(selection_mod, "em_fit", failing_for_three)
+        monkeypatch.setattr(selection_mod, "_fit_g", failing_for_three)
         res = sweep(d, 3, seed=4, restarts=1, family=POISSON)
         marked = [r for r in res.rows if r.error is not None]
         assert [r.G for r in marked] == [3]
@@ -173,7 +175,7 @@ class TestSweep:
         def always_failing(*args, **kwargs):
             raise CountmixError("forced for test")
 
-        monkeypatch.setattr(selection_mod, "em_fit", always_failing)
+        monkeypatch.setattr(selection_mod, "_fit_g", always_failing)
         with pytest.raises(SweepError) as err:
             sweep(d, 2, seed=0, restarts=1, family=POISSON)
         assert set(err.value.diagnostics) == {1, 2}
@@ -200,3 +202,52 @@ class TestSweep:
         res = sweep(d, 4, seed=5, restarts=1, family=POISSON)
         scored = {r.G for r in res.rows if r.error is None}
         assert set(res.best.values()) <= scored
+
+
+@pytest.mark.filterwarnings("ignore:count-mixture initialization left an empty group")
+class TestExactG:
+    """A sweep fits each G once, at exactly G: a failed G is never refitted at G-1."""
+
+    @pytest.mark.parametrize("seed, failed", [(3, [4, 5]), (12, [3])])
+    def test_one_em_run_per_g(self, binary_split_data, monkeypatch, seed, failed):
+        d = binary_split_data(seed)
+        real = mixture_mod._run_em
+        fitted_g = []
+
+        def counting(data, family, starts, masks):
+            fitted_g.append(starts.shape[2])
+            return real(data, family, starts, masks)
+
+        monkeypatch.setattr(mixture_mod, "_run_em", counting)
+        res = sweep(d, 5, seed=0, restarts=2, family=POISSON)
+        assert fitted_g == [1, 2, 3, 4, 5]
+        assert [r.G for r in res.rows if r.error is not None] == failed
+
+    @pytest.mark.parametrize("seed", [3, 12])
+    def test_failed_row_names_g_and_every_restart(self, binary_split_data, seed):
+        res = sweep(binary_split_data(seed), 5, seed=0, restarts=2, family=POISSON)
+        failed = [r for r in res.rows if r.error is not None]
+        assert failed
+        for row in failed:
+            assert row.error.startswith(f"all restarts failed at G={row.G}: restart 0 discarded: ")
+            assert "; restart 1 discarded: " in row.error
+            assert "refitted" not in row.error
+            assert row.G not in res.models
+            assert f"G={row.G} failed: {row.error}" in res.warnings
+
+    @pytest.mark.parametrize("seed", [3, 12])
+    def test_kept_rows_equal_em_fit_bitwise(self, binary_split_data, seed):
+        d = binary_split_data(seed)
+        res = sweep(d, 5, seed=0, restarts=2, family=POISSON)
+        kept = [r for r in res.rows if r.error is None]
+        assert len(kept) >= 2
+        for row in kept:
+            ref = em_fit(d, row.G, POISSON, seed=0, restarts=2)
+            model = res.models[row.G]
+            assert row == score_model(ref, d)
+            assert model.logL == ref.logL and model.warnings == ref.warnings
+            assert np.array_equal(model.loglik_trace, ref.loglik_trace)
+            assert np.array_equal(model.responsibilities, ref.responsibilities)
+            for a, b in zip(model.components, ref.components, strict=True):
+                assert a.pi == b.pi and a.alpha == b.alpha
+                assert np.array_equal(a.beta, b.beta)
