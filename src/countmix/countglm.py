@@ -545,19 +545,22 @@ def _solve(a, b):
 def _is_pd(a) -> np.ndarray:
     """Positive definiteness of each matrix of a stack.
 
-    One stacked Cholesky; only if it raises is each matrix tried alone.
+    A stacked Cholesky raises if any of its matrices fails, so a stack
+    that raises is bisected until the failing matrices stand alone: b
+    failures in a stack of C cost O(b log C) Cholesky calls, not C.
     """
-    try:
-        np.linalg.cholesky(a)
-        return np.ones(len(a), dtype=bool)
-    except np.linalg.LinAlgError:
-        pass
     out = np.ones(len(a), dtype=bool)
-    for i, ai in enumerate(a):
+    spans = [(0, len(a))]
+    while spans:
+        lo, hi = spans.pop()
         try:
-            np.linalg.cholesky(ai)
+            np.linalg.cholesky(a[lo:hi])
         except np.linalg.LinAlgError:
-            out[i] = False
+            if hi - lo == 1:
+                out[lo] = False
+            else:
+                mid = (lo + hi) // 2
+                spans += [(lo, mid), (mid, hi)]
     return out
 
 
@@ -576,16 +579,20 @@ def _newton(family, x, d, W, max_iter, keep):
     [log ALPHA_MIN, log ALPHA_MAX] and is frozen while its gradient points
     out of that box; its step is clipped to +-5, and where the joint
     information is not positive definite s takes a bounded uphill step of
-    0.5 beside beta's own Newton step.  Every step is halved until the
-    log-likelihood does not decrease.  Convergence needs a gradient
+    0.5 beside beta's own Newton step.  Convergence needs a gradient
     max-norm below ``DEFAULT_GTOL`` over the free coordinates and a
-    relative logL change below ``DEFAULT_TOL``; a fit whose step no longer
-    improves logL has converged if its Newton decrement g' I^-1 g / 2 is at
-    most ``DEFAULT_TOL * (1 + |logL|)``.  A row leaves the block when it
-    converges or stalls; the rows still moving after ``max_iter`` steps
-    stop there.  Returns per row (x, logL, converged, iterations); a row's
-    iterations are the steps it took, which is the outer iteration at
-    which it left the block.
+    relative logL change below ``DEFAULT_TOL``, or a stall at a negligible
+    Newton decrement g' I^-1 g / 2 <= ``DEFAULT_TOL * (1 + |logL|)``
+    (for NB-2, only where the step is a Newton step).  A row whose
+    decrement is negligible and whose full step does not raise logL
+    stalls at once, after one trial, and keeps its x.  Any other row
+    halves its step until logL does not decrease; one that finds no such
+    step in ``MAX_HALVINGS`` halvings stalls too, converged only if its
+    decrement is negligible.  A row leaves the block when it converges or
+    stalls; the rows still moving after ``max_iter`` steps stop there.
+    Returns per row (x, logL, converged, iterations); a row's iterations
+    are the steps it took, which is the outer iteration at which it left
+    the block.
     """
     with np.errstate(**_QUIET):  # overflow to inf is scored, not warned
         x = np.array(x, dtype=float)
@@ -647,11 +654,16 @@ def _newton(family, x, d, W, max_iter, keep):
             step = np.where(wide, step, 0.0)  # exactly 0, whichever solver ran
             if nb2:
                 s_step = np.clip(step[:, k], -5.0, 5.0)
-            # halve each row's step until its logL does not decrease.  The
-            # full steps are the first candidates for the new block; pos holds
-            # the rows still searching, xs..ls their slices of the block, and
-            # each later pass writes the rows it accepts.  A row that accepts
-            # no step leaves the block.
+            # the Newton decrement, the gain the quadratic model predicts (a
+            # true one only where the step is a Newton step)
+            decrement = 0.5 * np.einsum("ij,ij->i", gfree, step)
+            negligible = decrement <= DEFAULT_TOL * (1.0 + np.abs(ll))
+            if nb2:
+                negligible &= newton
+            # the full steps are the first candidates for the new block; pos
+            # holds the rows still halving, xs..ls their slices of the block.
+            # A row stalls when its decrement is negligible and its full step
+            # gains nothing, or when no halving keeps its logL from falling
             new_x = new_ll = None
             pos, xs, ss, Ws, ls = np.arange(live.size), x, step, W, ll
             t = 1.0
@@ -663,6 +675,8 @@ def _newton(family, x, d, W, max_iter, keep):
                 up = trial_ll >= ls
                 if new_x is None:
                     new_x, new_ll = trial, trial_ll
+                    stalled = negligible & ~(trial_ll > ls)
+                    up |= stalled
                 elif up.any():
                     new_x[pos[up]], new_ll[pos[up]] = trial[up], trial_ll[up]
                 if up.all():
@@ -672,13 +686,10 @@ def _newton(family, x, d, W, max_iter, keep):
                     pos, xs, ss, Ws, ls = pos[no], xs[no], ss[no], Ws[no], ls[no]
                 t *= 0.5
             else:
-                # no ascent left at this precision: an optimum if the Newton
-                # decrement, the gain the quadratic model predicts, is negligible
-                decrement = 0.5 * np.einsum("ij,ij->i", gfree[pos], step[pos])
-                ok = decrement <= DEFAULT_TOL * (1.0 + np.abs(ls))
-                leave(pos, ok & newton[pos] if nb2 else ok, it)
-                go = np.ones(live.size, dtype=bool)
-                go[pos] = False
+                stalled[pos] = True
+            if stalled.any():  # converged if the decrement is negligible
+                leave(stalled, negligible[stalled], it)
+                go = ~stalled
                 live, W, ll, new_x, new_ll = live[go], W[go], ll[go], new_x[go], new_ll[go]
                 wide, both = wide[go], both[go]
                 if not live.size:
@@ -777,8 +788,11 @@ def fit_poisson(d: Dataset, w=None, init=None) -> GlmFit:
 
     Convergence requires both a relative log-likelihood change of at most
     ``DEFAULT_TOL`` (1e-8) and a gradient max-norm below ``DEFAULT_GTOL``
-    (1e-6) within ``DEFAULT_MAX_ITER`` (100) Newton steps, or a negligible
-    Newton decrement once no step improves the log-likelihood.
+    (1e-6) within ``DEFAULT_MAX_ITER`` (100) Newton steps, or a stall: a
+    negligible Newton decrement with a full step that does not raise the
+    log-likelihood ends the fit, converged, after one trial, and a step
+    that no halving makes ascend ends it too, converged only if the
+    decrement is negligible.
     Non-convergence returns the last iterate with ``converged=False``
     rather than raising; its ``se`` belong to that iterate.
     """

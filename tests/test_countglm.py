@@ -511,6 +511,146 @@ class TestIterationCap:
         np.testing.assert_allclose(fit.se, self._oracle_se(fit, d), rtol=1e-5)
 
 
+def _scaled_income(overdispersed=False, scale=1e8, order=None):
+    """Counts driven by an income on [10, 11.5], with the income column scaled.
+
+    At scale 1e8 the rounding floor of the gradient lies far above
+    ``DEFAULT_GTOL`` at the optimum, so only the Newton-decrement stall
+    can end a fit there.
+    """
+    rng = np.random.default_rng(219)
+    n = 95
+    inc = rng.uniform(10.0, 11.5, n)
+    mu = np.exp(2.0 + 0.5 * (inc - 10.0))
+    y = rng.poisson(rng.gamma(2.0, 0.5 * mu) if overdispersed else mu)
+    rows = np.arange(n) if order is None else np.random.default_rng(order).permutation(n)
+    return Dataset(y=y[rows], X=np.column_stack([np.ones(n), scale * inc[rows]]), names=("INC",))
+
+
+def _count_calls(monkeypatch, name, events, tag):
+    """Wrap ``countglm.<name>`` so that each call appends ``tag`` to ``events``."""
+    inner = getattr(countglm, name)
+
+    def spy(*args):
+        events.append(tag)
+        return inner(*args)
+
+    monkeypatch.setattr(countglm, name, spy)
+
+
+class TestNewtonStop:
+    """A negligible Newton decrement with a full step that gains nothing ends a row at once."""
+
+    def test_scaled_covariate_converges_on_every_row_order(self):
+        # a step that moves no linear predictor used to repeat to the cap
+        unscaled = fit_poisson(_scaled_income(scale=1.0))
+        assert unscaled.converged
+        for order in range(30):
+            fit = fit_poisson(_scaled_income(order=order))
+            assert fit.converged, order
+            assert fit.iterations < countglm.DEFAULT_MAX_ITER
+            assert fit.logL == pytest.approx(unscaled.logL, rel=1e-12)
+
+    def test_block_at_its_optimum_makes_one_trial_pass(self, monkeypatch):
+        d = _scaled_income()
+        n = d.n
+        W = np.vstack([np.ones(n), np.random.default_rng(1).uniform(0.2, 1.0, n)])
+        keep = np.ones((2, 2), dtype=bool)
+        x, ll, converged, _ = countglm._newton(countglm.POISSON, countglm._poisson_start(d, W), d, W, 100, keep)
+        assert converged.all()
+        grad = countglm._derivs(countglm.POISSON, x, d, W)[0]
+        assert (np.abs(grad).max(axis=1) >= countglm.DEFAULT_GTOL).all()  # the gradient test cannot end it
+        events = []
+        _count_calls(monkeypatch, "_loglik", events, "loglik")
+        x2, ll2, converged2, iterations2 = countglm._newton(countglm.POISSON, x, d, W, 100, keep)
+        assert events == ["loglik", "loglik"]  # the start and one trial pass
+        assert converged2.all() and (iterations2 == 0).all()
+        assert np.array_equal(x2, x) and np.array_equal(ll2, ll)
+
+    def test_overshooting_cold_start_still_halves(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        n = 200
+        X = np.column_stack([np.ones(n), rng.normal(size=n)])
+        d = Dataset(y=rng.poisson(np.exp(0.5 + 2.0 * X[:, 1])), X=X, names=("x",))
+        W = np.ones((1, n))
+        x0 = countglm._poisson_start(d, W)
+        grad, info = countglm._derivs(countglm.POISSON, x0, d, W)
+        decrement = 0.5 * grad[0] @ np.linalg.solve(info[0], grad[0])
+        ll0 = countglm._loglik(countglm.POISSON, x0, d, W)[0]
+        assert decrement > 1e3 * countglm.DEFAULT_TOL * (1.0 + abs(ll0))
+        events = []
+        _count_calls(monkeypatch, "_loglik", events, "trial")
+        _count_calls(monkeypatch, "_derivs", events, "step")
+        fit = fit_poisson(d)
+        trials = [len(list(g)) for is_step, g in itertools.groupby(events, lambda e: e == "step") if not is_step]
+        assert max(trials[1:]) >= 2  # some step was halved
+        assert fit.converged and fit.iterations == 7
+        assert fit.logL == pytest.approx(-298.1533879241632, rel=1e-12)  # the logL before the shortcut
+
+    def test_nb2_fallback_rows_never_take_the_shortcut(self, monkeypatch):
+        # warm starts at the optimum, where the decrement of the beta step
+        # beside a 0.5 move of s is negligible and that step loses logL: a
+        # non-Newton row still runs every halving and stalls unconverged
+        d = _scaled_income(overdispersed=True)
+        n = d.n
+        W = np.vstack([np.ones(n), np.random.default_rng(1).uniform(0.2, 1.0, n)])
+        keep = np.ones((2, 2), dtype=bool)
+        x, ll, converged, _ = countglm._fit_block(countglm.NB2, d, W, None, 100, keep)
+        assert converged.all() and (countglm._alpha_side(np.exp(x[:, 2])) == 0).all()
+        monkeypatch.setattr(countglm, "_is_pd", lambda a: np.zeros(len(a), dtype=bool))
+        events = []
+        _count_calls(monkeypatch, "_loglik", events, "loglik")
+        x2, ll2, converged2, iterations2 = countglm._newton(countglm.NB2, x, d, W, 100, keep)
+        assert len(events) == 1 + countglm.MAX_HALVINGS + 1
+        assert not converged2.any() and (iterations2 == 0).all()
+        assert np.array_equal(x2, x) and np.array_equal(ll2, ll)
+
+
+def _is_pd_one_by_one(a):
+    out = np.ones(len(a), dtype=bool)
+    for i, ai in enumerate(a):
+        try:
+            np.linalg.cholesky(ai)
+        except np.linalg.LinAlgError:
+            out[i] = False
+    return out
+
+
+class TestIsPd:
+    @staticmethod
+    def _stack(C, bad, seed):
+        rng = np.random.default_rng(seed)
+        A = rng.normal(size=(C, 4, 4))
+        stack = A @ A.transpose(0, 2, 1) + 0.1 * np.eye(4)
+        stack[bad] -= 50.0 * np.eye(4)  # indefinite
+        return stack
+
+    @pytest.mark.parametrize(
+        "C, bad",
+        [(1, []), (1, [0]), (37, []), (37, list(range(37))), (37, [0]), (37, [36]),
+         (37, [18]), (37, [0, 18, 36]), (256, [0, 1, 127, 128, 255])],
+    )
+    def test_bisection_matches_the_per_matrix_loop(self, C, bad):
+        for seed in range(3):
+            stack = self._stack(C, bad, seed)
+            got = countglm._is_pd(stack)
+            assert np.array_equal(got, _is_pd_one_by_one(stack))
+            assert np.flatnonzero(~got).tolist() == bad
+
+    def test_one_failure_costs_a_logarithmic_number_of_factorizations(self, monkeypatch):
+        stack = self._stack(256, [100], 0)
+        events = []
+        inner = np.linalg.cholesky
+
+        def spy(a):
+            events.append(len(a))
+            return inner(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", spy)
+        assert np.flatnonzero(~countglm._is_pd(stack)).tolist() == [100]
+        assert len(events) == 1 + 2 * 8  # the whole stack, then both halves at each of 8 levels
+
+
 class TestDispersionStat:
     def test_constant_outcome(self, intercept_only):
         assert dispersion_stat(intercept_only([4, 4, 4])) == 0.0
