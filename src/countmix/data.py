@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -24,6 +25,10 @@ from .errors import (
     ParseError,
     SchemaError,
 )
+
+# rows converted per column pass of load_csv: bounds the cell strings held
+# at once, so peak memory stays near the row-by-row loop's at any file size
+_CSV_CHUNK_ROWS = 256
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -188,49 +193,85 @@ def load_csv(path, outcome_col: str, covariate_cols) -> Dataset:
             raise SchemaError(f"{path}: missing column(s): {', '.join(missing)}")
         y_idx = header.index(outcome_col)
         x_idx = [header.index(c) for c in covariate_cols]
-
-        ys: list[int] = []
-        xs: list[list[float]] = []
-        for row_num, row in enumerate(reader, start=1):
-            if len(row) != len(header):
-                raise ParseError(
-                    f"{path}: row {row_num} has {len(row)} cells, expected {len(header)}",
-                    row=row_num,
-                )
-            cell = row[y_idx].strip()
+        parts = []
+        for first in itertools.count(1, _CSV_CHUNK_ROWS):
+            rows: list[list[str]] = []
             try:
-                value = int(cell)
-            except ValueError:
-                raise ParseError(
-                    f"{path}: row {row_num}: outcome {cell!r} is not an integer",
-                    row=row_num,
-                ) from None
-            if value < 0:
-                raise ParseError(
-                    f"{path}: row {row_num}: outcome {value} is negative", row=row_num
-                )
-            ys.append(value)
-            covs = []
-            for j, col in zip(x_idx, covariate_cols):
-                cell = row[j].strip()
-                try:
-                    covs.append(float(cell))
-                except ValueError:
-                    raise ParseError(
-                        f"{path}: row {row_num}: {col}={cell!r} is not a number",
-                        row=row_num,
-                    ) from None
-            xs.append(covs)
+                rows.extend(itertools.islice(reader, _CSV_CHUNK_ROWS))
+            except (csv.Error, UnicodeDecodeError):
+                # a bad row before the unreadable one is named first, as row by row
+                _parse_rows(path, rows, first, len(header), y_idx, x_idx, covariate_cols)
+                raise
+            if not rows:
+                break
+            parsed = _parse_columns(rows, len(header), y_idx, x_idx)
+            if parsed is None:  # some cell is bad: the row loop names the first one
+                parsed = _parse_rows(path, rows, first, len(header), y_idx, x_idx, covariate_cols)
+            parts.append(parsed)
 
-    if not ys:
+    if not parts:
         raise EmptyDataError(f"{path}: no data rows")
-    X = np.column_stack([np.ones(len(ys)), np.asarray(xs, dtype=float).reshape(len(ys), -1)])
+    y = np.concatenate([part[0] for part in parts])
     return Dataset(
-        y=np.asarray(ys, dtype=np.int64),
-        X=X,
+        y=y,
+        X=np.column_stack([np.ones(len(y)), np.concatenate([part[1] for part in parts])]),
         names=tuple(covariate_cols),
         outcome_name=outcome_col,
     )
+
+
+def _parse_columns(rows, width: int, y_idx: int, x_idx):
+    """The outcome vector and (n, p) covariate block of ``rows``, column by
+    column, or None if any row has the wrong width or any cell is bad."""
+    if any(len(row) != width for row in rows):
+        return None
+    cols = list(zip(*rows))
+    try:
+        ys = list(map(int, map(str.strip, cols[y_idx])))
+        covs = [list(map(float, map(str.strip, cols[j]))) for j in x_idx]
+    except ValueError:
+        return None
+    if min(ys) < 0:
+        return None
+    return np.asarray(ys, dtype=np.int64), np.array(covs, dtype=float).reshape(len(x_idx), len(ys)).T
+
+
+def _parse_rows(path, rows, first: int, width: int, y_idx: int, x_idx, covariate_cols):
+    """:func:`_parse_columns` row by row, numbering ``rows`` from ``first``,
+    raising a :class:`ParseError` at the first bad row."""
+    ys: list[int] = []
+    xs: list[list[float]] = []
+    for row_num, row in enumerate(rows, start=first):
+        if len(row) != width:
+            raise ParseError(
+                f"{path}: row {row_num} has {len(row)} cells, expected {width}",
+                row=row_num,
+            )
+        cell = row[y_idx].strip()
+        try:
+            value = int(cell)
+        except ValueError:
+            raise ParseError(
+                f"{path}: row {row_num}: outcome {cell!r} is not an integer",
+                row=row_num,
+            ) from None
+        if value < 0:
+            raise ParseError(
+                f"{path}: row {row_num}: outcome {value} is negative", row=row_num
+            )
+        ys.append(value)
+        covs = []
+        for j, col in zip(x_idx, covariate_cols):
+            cell = row[j].strip()
+            try:
+                covs.append(float(cell))
+            except ValueError:
+                raise ParseError(
+                    f"{path}: row {row_num}: {col}={cell!r} is not a number",
+                    row=row_num,
+                ) from None
+        xs.append(covs)
+    return np.asarray(ys, dtype=np.int64), np.asarray(xs, dtype=float).reshape(len(ys), -1)
 
 
 def dataset_csv_text(d: Dataset) -> str:

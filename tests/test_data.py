@@ -87,6 +87,50 @@ class TestLoadCsv:
         with pytest.raises(ParseError):
             load_csv(path, "y", ["x"])
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("3.5,2.0,1.0", "outcome '3.5' is not an integer"),
+            ("-2,2.0,1.0", "outcome -2 is negative"),
+            ("4,2.0,abc", "z='abc' is not a number"),
+            ("4,2.0", None),
+            ("x7,abc,1.0", "outcome 'x7' is not an integer"),  # both bad: the outcome first
+        ],
+        ids=["fractional", "negative", "covariate", "short", "outcome_and_covariate"],
+    )
+    @pytest.mark.parametrize("good", [2, 599], ids=["first_chunk", "later_chunk"])
+    def test_first_bad_row_after_good_rows_named(self, tmp_path, bad, message, good):
+        path = tmp_path / "bad.csv"
+        path.write_text("y,x,z\n" + "1,1.0,2.0\n" * good + f"{bad}\n5,3.0,0.5\n-1,q,\n")
+        with pytest.raises(ParseError) as err:
+            load_csv(path, "y", ["x", "z"])
+        row = good + 1
+        assert err.value.row == row
+        tail = f"row {row} has 2 cells, expected 3" if message is None else f"row {row}: {message}"
+        assert str(err.value) == f"{path}: {tail}"
+
+    def test_padded_cells_parse_as_before(self, tmp_path):
+        path = tmp_path / "padded.csv"
+        # "\x1f" is whitespace to str.strip, though int() and float() reject it
+        path.write_text(" y , x \n 5 ,\t1.5 \n\x1f7\x1f,\x1f2e3\n0 , -0.25\n")
+        d = load_csv(path, "y", ["x"])
+        assert d.y.tolist() == [5, 7, 0]
+        assert d.X[:, 1].tolist() == [1.5, 2000.0, -0.25]
+
+    def test_bad_row_named_before_a_later_undecodable_byte(self, tmp_path):
+        # the bad byte lies past the first 8 KiB block the text layer
+        # decodes, within the rows load_csv reads in one pass with the bad row
+        good = (b"1," + b"1" * 60 + b"\n") * 200
+        named = tmp_path / "named.csv"
+        named.write_bytes(b"y,x\n1,1.0\nbad,2.0\n" + good + b"\xff,1.0\n")
+        with pytest.raises(ParseError) as err:
+            load_csv(named, "y", ["x"])
+        assert err.value.row == 2
+        clean = tmp_path / "clean.csv"
+        clean.write_bytes(b"y,x\n" + good + b"\xff,1.0\n")
+        with pytest.raises(UnicodeDecodeError):
+            load_csv(clean, "y", ["x"])
+
     def test_row_order_preserved(self, tmp_path):
         path = tmp_path / "order.csv"
         path.write_text("y,x\n5,1.0\n1,2.0\n9,3.0\n")

@@ -249,6 +249,67 @@ class TestInitByCountMixture:
             init_by_count_mixture(d, 3)
 
 
+def _init_oracle_cases(kind):
+    """Seeded (y, G, seed) cases of one kind for the count-mixture start oracle."""
+    rng = np.random.default_rng(("files", "nb", "large", "zeros", "few", "ties").index(kind))
+    for i in range(40):
+        G = 2 + i % 4
+        if kind == "files":  # the two-component n=500 files of acceptance criterion 2
+            spec = MixtureSpec(weights=(0.45, 0.55), betas=((0.3, 1.0, -0.6), (3.6, -0.7, 0.5)))
+            y = gen_regression_mixture(spec, 500, seed=i)[0].y
+        elif kind == "nb":  # overdispersed: Gamma-Poisson rates around two means
+            mu = np.where(rng.random(300) < 0.4, 3.0, 40.0)
+            y = rng.poisson(rng.gamma(1.0 / rng.uniform(0.3, 2.0), mu / 2.0))
+        elif kind == "large":  # softmax terms of order 1e8 without log y!: exp overflows unshifted
+            y = rng.poisson(rng.uniform(1e6, 1e7), 200) + rng.integers(0, 3, 200) * 3_000_000
+        elif kind == "zeros":
+            y = np.where(rng.random(250) < rng.uniform(0.6, 0.95), 0, rng.poisson(rng.uniform(1, 30), 250))
+        elif kind == "few":  # fewer than G distinct counts
+            y = rng.integers(0, G - 1 - i % 2, 80) if G > 2 else np.full(80, i)
+        else:  # ties: 60% of the rows on one count, so mid-quantiles coincide
+            tie = int(rng.integers(0, 10))
+            y = np.where(rng.random(200) < 0.6, tie, rng.poisson(rng.uniform(0.5, 40), 200))
+        yield np.asarray(y, dtype=np.int64), G, 1000 * i + G
+
+
+class TestCountMixtureStartOracle:
+    """The start over distinct counts gives the row-by-row reference's output and warnings."""
+
+    @staticmethod
+    def _run(start, d, G, seed):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = start(d, G, seed)
+        return out, [str(w.message) for w in caught]
+
+    @pytest.mark.parametrize("kind", ["files", "nb", "large", "zeros", "few", "ties"])
+    def test_equals_row_by_row_reference(self, kind, intercept_only):
+        from count_init_reference import count_mixture_start_rows
+
+        paths = set()
+        for y, G, seed in _init_oracle_cases(kind):
+            d = intercept_only(y)
+            got, got_warned = self._run(mixture_mod._count_mixture_start, d, G, seed)
+            want, want_warned = self._run(count_mixture_start_rows, d, G, seed)
+            assert np.array_equal(got, want), (kind, G, seed)
+            assert got_warned == want_warned, (kind, G, seed)
+            q = np.maximum(np.quantile(y.astype(float), (np.arange(G) + 0.5) / G), 1e-6)
+            path = "fitted" if not got_warned else "fewer" if "fewer" in got_warned[0] else "empty group"
+            if path != "fewer" and np.any(np.diff(q) <= 0):  # the rates start jittered apart
+                path = f"jittered {path}"
+            paths.add(path)
+        # each kind reaches the paths it is here for
+        expected = {
+            "files": {"fitted"},
+            "nb": {"fitted"},
+            "large": {"fitted", "empty group"},
+            "zeros": {"fitted", "jittered fitted", "jittered empty group"},
+            "few": {"fewer"},
+            "ties": {"fitted", "jittered empty group"},
+        }[kind]
+        assert expected <= paths, paths
+
+
 def _two_component_spec():
     return MixtureSpec(
         weights=(0.4, 0.6),
